@@ -17,6 +17,7 @@
 #include "rng/xorshift.h"
 #include "simd/ops.h"
 #include "simd/sparse_kernels.h"
+#include "simd/sparse_ops.h"
 #include "util/aligned_buffer.h"
 
 namespace {
@@ -125,21 +126,23 @@ main()
         for (std::size_t j = 0; j < nnz; ++j)
             idx[j] = gen() % n;
 
+        // The registry's two sparse tiers: the scalar reference and the
+        // 4-way unrolled variant (registered under kAvx2).
+        using Sparse = simd::SparseOps<std::uint32_t, std::int8_t, float>;
+        const auto timed_dot = [&](simd::Impl impl) {
+            volatile float sink = 0.0f;
+            return measure_seconds_per_call(
+                [&](std::size_t) {
+                    sink = sink + Sparse::dot(
+                                      impl, val.data(), idx.data(), nnz,
+                                      w.data(), 0.01f,
+                                      simd::sparse::IndexMode::kAbsolute);
+                },
+                0.03);
+        };
+        const double plain_sec = timed_dot(simd::Impl::kReference);
+        const double unrolled_sec = timed_dot(simd::Impl::kAvx2);
         volatile float sink = 0.0f;
-        const double plain_sec = measure_seconds_per_call(
-            [&](std::size_t) {
-                sink = sink + simd::sparse::dot(
-                                  val.data(), idx.data(), nnz, w.data(),
-                                  0.01f, simd::sparse::IndexMode::kAbsolute);
-            },
-            0.03);
-        const double unrolled_sec = measure_seconds_per_call(
-            [&](std::size_t) {
-                sink = sink + simd::sparse::dot_unrolled(
-                                  val.data(), idx.data(), nnz, w.data(),
-                                  0.01f);
-            },
-            0.03);
         const double gather_sec = measure_seconds_per_call(
             [&](std::size_t) {
                 sink = sink + simd::sparse::dot_gather_d8mf(

@@ -41,7 +41,7 @@
 #include "rng/random_source.h"
 #include "simd/dense_ref.h"
 #include "simd/ops.h"
-#include "simd/sparse_kernels.h"
+#include "simd/sparse_ops.h"
 #include "util/aligned_buffer.h"
 #include "util/logging.h"
 #include "util/stopwatch.h"
@@ -500,16 +500,9 @@ class SparseEngine
     float
     margin(std::size_t i) const
     {
-        const float scale = dot_scale();
-        if (simd::is_vectorized(cfg_.impl) &&
-            data_.index_mode() == simd::sparse::IndexMode::kAbsolute) {
-            return simd::sparse::dot_unrolled(
-                data_.row_values(i), data_.row_indices(i), data_.row_nnz(i),
-                model_.data(), scale);
-        }
-        return simd::sparse::dot(data_.row_values(i), data_.row_indices(i),
-                                 data_.row_nnz(i), model_.data(), scale,
-                                 data_.index_mode());
+        return Ops::dot(cfg_.impl, data_.row_values(i),
+                        data_.row_indices(i), data_.row_nnz(i),
+                        model_.data(), dot_scale(), data_.index_mode());
     }
 
     std::vector<float>
@@ -523,6 +516,8 @@ class SparseEngine
     }
 
   private:
+    using Ops = simd::SparseOps<I, V, M>;
+
     /// dot() scale: product of value and model quanta (either may be 1).
     float
     dot_scale() const
@@ -564,9 +559,9 @@ class SparseEngine
                 (rounding.strategy == RoundingStrategy::kBiased)
                     ? detail::biased_block<V, M>()
                     : (rounding.tick(), rounding.block);
-            simd::sparse::axpy(w, data_.row_values(i), data_.row_indices(i),
-                               data_.row_nnz(i), cs, cf, block,
-                               data_.index_mode());
+            Ops::axpy(cfg_.impl, w, data_.row_values(i),
+                      data_.row_indices(i), data_.row_nnz(i), cs, cf, block,
+                      data_.index_mode());
         }
     }
 

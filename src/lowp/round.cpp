@@ -9,7 +9,7 @@
  * steady-state cost stays one indirect call.
  *
  * Bit-identity notes — the AVX2 paths must agree with the scalar
- * references bit-for-bit, which rests on three identities:
+ * references bit-for-bit, which rests on four identities:
  *
  *  - `trunc(s + copysign(0.5, s)) == lround(s)` exactly, whenever the
  *    addition is exact. Every grid in the tree has a power-of-two
@@ -23,12 +23,18 @@
  *    conversion equals converting then saturating, because the clamp
  *    bounds are themselves exactly representable grid endpoints — and it
  *    avoids the 0x80000000 "integer indefinite" result on overflow.
+ *  - IEEE division is correctly rounded in every lane, so
+ *    `_mm256_div_pd` computes exactly the scalar double quotients, and a
+ *    float multiply chain with the sign flipped by XOR is the scalar
+ *    `-(a * b)`; GCC does not contract a multiply across the XOR into
+ *    the residual's subtraction. (qsgd_round, qsgd_dequantize)
  *
  * NaN conventions follow the scalar code each kernel replaced:
  * `max_abs` ignores NaN elements (std::max(acc, fabs) keeps acc when fabs
  * is NaN — mirrored by `_mm256_max_ps(abs, acc)`, which returns the
- * second operand on unordered compare), and `quantize_sign_1bit` treats
- * NaN as negative (`!(g >= 0)` — mirrored by `_CMP_NGE_UQ`).
+ * second operand on unordered compare), `quantize_sign_1bit` and
+ * `qsgd_round` treat NaN as negative (`!(g >= 0)` — mirrored by
+ * `_CMP_NGE_UQ`), and `qsgd_round` maps a NaN ratio to level 0.
  */
 #include "lowp/round.h"
 
@@ -174,6 +180,70 @@ quantize_sign_1bit(const float* g, std::size_t n, float scale, float* q,
         if (residual != nullptr)
             residual[k] = g[k] - q[k];
     }
+}
+
+namespace {
+
+/// One element of qsgd_round: the level and, when asked, the residual.
+/// The sign bit is the caller's (it packs eight per byte). Shared by the
+/// reference kernel and the AVX2 tail, so both round one way.
+inline std::uint8_t
+qsgd_round_one(float g, float norm, int s, std::uint32_t word,
+               float* residual)
+{
+    const GridSpec grid{1.0 / static_cast<double>(s), 0, s};
+    const double ratio = norm > 0.0f ? static_cast<double>(std::fabs(g)) /
+                                           static_cast<double>(norm)
+                                     : 0.0;
+    // Ratios past 2 can only saturate at s, and a NaN ratio (an infinite
+    // coordinate's) lands on 0, as the AVX2 clamp does: neither reaches
+    // round_unbiased_raw's float-to-integer conversion, which has no
+    // defined result for them.
+    const long level =
+        ratio <= 2.0
+            ? round_unbiased_raw(ratio, grid, rng::to_unit_float(word))
+        : ratio > 2.0 ? s
+                      : 0;
+    if (residual != nullptr) {
+        const float point = norm * (static_cast<float>(level) *
+                                    (1.0f / static_cast<float>(s)));
+        *residual = g - (!(g >= 0.0f) ? -point : point);
+    }
+    return static_cast<std::uint8_t>(level);
+}
+
+inline float
+qsgd_point_one(std::uint8_t level, bool negative, float norm, int s)
+{
+    const float point = norm * (static_cast<float>(level) *
+                                (1.0f / static_cast<float>(s)));
+    return negative ? -point : point;
+}
+
+} // namespace
+
+void
+qsgd_round(const float* g, std::size_t n, float norm, int s,
+           const std::uint32_t* words, std::uint8_t* levels,
+           std::uint8_t* signs, float* residual)
+{
+    std::fill(signs, signs + (n + 7) / 8, std::uint8_t{0});
+    for (std::size_t k = 0; k < n; ++k) {
+        signs[k / 8] |= static_cast<std::uint8_t>(
+            static_cast<unsigned>(!(g[k] >= 0.0f)) << (k % 8));
+        levels[k] = qsgd_round_one(g[k], norm, s, words[k],
+                                   residual != nullptr ? residual + k
+                                                       : nullptr);
+    }
+}
+
+void
+qsgd_dequantize(const std::uint8_t* levels, const std::uint8_t* signs,
+                std::size_t n, float norm, int s, float* out)
+{
+    for (std::size_t k = 0; k < n; ++k)
+        out[k] = qsgd_point_one(levels[k], (signs[k / 8] >> (k % 8)) & 1u,
+                                norm, s);
 }
 
 } // namespace scalar
@@ -442,6 +512,104 @@ quantize_sign_1bit(const float* g, std::size_t n, float scale, float* q,
     }
 }
 
+void
+qsgd_round(const float* g, std::size_t n, float norm, int s,
+           const std::uint32_t* words, std::uint8_t* levels,
+           std::uint8_t* signs, float* residual)
+{
+    const bool live = norm > 0.0f;
+    const __m256d normd = _mm256_set1_pd(static_cast<double>(norm));
+    const __m256d quantum = _mm256_set1_pd(1.0 / static_cast<double>(s));
+    const __m256d zero = _mm256_setzero_pd();
+    const __m256d top = _mm256_set1_pd(static_cast<double>(s));
+    const __m256d unit = _mm256_set1_pd(0x1.0p-24);
+    const __m256 signbit = _mm256_set1_ps(-0.0f);
+    const __m256 normf = _mm256_set1_ps(norm);
+    const __m256 inv_s = _mm256_set1_ps(1.0f / static_cast<float>(s));
+
+    // floor(|g| / norm / (1/s) + u), clamped to [0, s] in the double
+    // domain: max first, so a NaN ratio lands on 0 as in the reference.
+    // The dither u = (word >> 8) * 2^-24 is exact in double, as
+    // rng::to_unit_float's float is.
+    const auto levels4 = [&](__m128 mag, __m128i word24) {
+        const __m256d ratio =
+            live ? _mm256_div_pd(_mm256_cvtps_pd(mag), normd) : zero;
+        const __m256d u = _mm256_mul_pd(_mm256_cvtepi32_pd(word24), unit);
+        __m256d t = _mm256_floor_pd(
+            _mm256_add_pd(_mm256_div_pd(ratio, quantum), u));
+        t = _mm256_min_pd(_mm256_max_pd(t, zero), top);
+        return _mm256_cvttpd_epi32(t);
+    };
+
+    std::size_t i = 0;
+    for (; i + 8 <= n; i += 8) {
+        const __m256 x = _mm256_loadu_ps(g + i);
+        // !(g >= 0): NGE unordered-quiet, so NaN counts as negative
+        const __m256 neg =
+            _mm256_cmp_ps(x, _mm256_setzero_ps(), _CMP_NGE_UQ);
+        signs[i / 8] = static_cast<std::uint8_t>(_mm256_movemask_ps(neg));
+        const __m256 mag = _mm256_andnot_ps(signbit, x);
+        const __m256i word24 = _mm256_srli_epi32(
+            _mm256_loadu_si256(reinterpret_cast<const __m256i*>(words + i)),
+            8);
+        const __m128i lo = levels4(_mm256_castps256_ps128(mag),
+                                   _mm256_castsi256_si128(word24));
+        const __m128i hi = levels4(_mm256_extractf128_ps(mag, 1),
+                                   _mm256_extracti128_si256(word24, 1));
+        const __m128i level16 = _mm_packs_epi32(lo, hi);
+        _mm_storel_epi64(reinterpret_cast<__m128i*>(levels + i),
+                         _mm_packus_epi16(level16, level16));
+        if (residual != nullptr) {
+            const __m256 level =
+                _mm256_cvtepi32_ps(_mm256_set_m128i(hi, lo));
+            const __m256 point =
+                _mm256_mul_ps(normf, _mm256_mul_ps(level, inv_s));
+            // The sign flip is a bitwise op, which also keeps the
+            // compiler from fusing the product into the subtraction.
+            const __m256 q =
+                _mm256_xor_ps(point, _mm256_and_ps(neg, signbit));
+            _mm256_storeu_ps(residual + i, _mm256_sub_ps(x, q));
+        }
+    }
+    if (i < n) {
+        signs[i / 8] = 0;
+        for (; i < n; ++i) {
+            signs[i / 8] |= static_cast<std::uint8_t>(
+                static_cast<unsigned>(!(g[i] >= 0.0f)) << (i % 8));
+            levels[i] = scalar::qsgd_round_one(
+                g[i], norm, s, words[i],
+                residual != nullptr ? residual + i : nullptr);
+        }
+    }
+}
+
+void
+qsgd_dequantize(const std::uint8_t* levels, const std::uint8_t* signs,
+                std::size_t n, float norm, int s, float* out)
+{
+    const __m256 normf = _mm256_set1_ps(norm);
+    const __m256 inv_s = _mm256_set1_ps(1.0f / static_cast<float>(s));
+    // Lane j's sign bit shifted up to bit 31, the float sign position.
+    const __m256i to_sign = _mm256_setr_epi32(31, 30, 29, 28, 27, 26, 25, 24);
+    const __m256i signbit = _mm256_set1_epi32(INT32_MIN);
+    std::size_t i = 0;
+    for (; i + 8 <= n; i += 8) {
+        const __m256 level = _mm256_cvtepi32_ps(_mm256_cvtepu8_epi32(
+            _mm_loadl_epi64(reinterpret_cast<const __m128i*>(levels + i))));
+        const __m256 point =
+            _mm256_mul_ps(normf, _mm256_mul_ps(level, inv_s));
+        const __m256i sign = _mm256_and_si256(
+            _mm256_sllv_epi32(_mm256_set1_epi32(signs[i / 8]), to_sign),
+            signbit);
+        _mm256_storeu_ps(out + i,
+                         _mm256_xor_ps(point, _mm256_castsi256_ps(sign)));
+    }
+    for (; i < n; ++i)
+        out[i] = scalar::qsgd_point_one(levels[i],
+                                        (signs[i / 8] >> (i % 8)) & 1u,
+                                        norm, s);
+}
+
 } // namespace avx2
 
 #endif // __AVX2__
@@ -470,6 +638,11 @@ using RoundLevelsFn = void (*)(const float*, std::size_t, float,
                                std::int8_t*, float*, float*);
 using Sign1BitFn = void (*)(const float*, std::size_t, float, float*,
                             float*, std::uint8_t*);
+using QsgdRoundFn = void (*)(const float*, std::size_t, float, int,
+                             const std::uint32_t*, std::uint8_t*,
+                             std::uint8_t*, float*);
+using QsgdDequantizeFn = void (*)(const std::uint8_t*, const std::uint8_t*,
+                                  std::size_t, float, int, float*);
 
 #ifdef __AVX2__
 bool
@@ -528,6 +701,11 @@ do_register(simd::KernelLibrary& lib)
     add_op<Sign1BitFn>(
         lib, "lowp.quantize_sign_1bit", &scalar::quantize_sign_1bit,
         BUCKWILD_LOWP_AVX2(&avx2::quantize_sign_1bit));
+    add_op<QsgdRoundFn>(lib, "lowp.qsgd_round", &scalar::qsgd_round,
+                        BUCKWILD_LOWP_AVX2(&avx2::qsgd_round));
+    add_op<QsgdDequantizeFn>(
+        lib, "lowp.qsgd_dequantize", &scalar::qsgd_dequantize,
+        BUCKWILD_LOWP_AVX2(&avx2::qsgd_dequantize));
 }
 
 #undef BUCKWILD_LOWP_AVX2
@@ -651,6 +829,25 @@ quantize_sign_1bit(const float* g, std::size_t n, float scale, float* q,
     static CachedKernel cache;
     cache.get<Sign1BitFn>("lowp.quantize_sign_1bit")(g, n, scale, q,
                                                      residual, payload);
+}
+
+void
+qsgd_round(const float* g, std::size_t n, float norm, int s,
+           const std::uint32_t* words, std::uint8_t* levels,
+           std::uint8_t* signs, float* residual)
+{
+    static CachedKernel cache;
+    cache.get<QsgdRoundFn>("lowp.qsgd_round")(g, n, norm, s, words, levels,
+                                              signs, residual);
+}
+
+void
+qsgd_dequantize(const std::uint8_t* levels, const std::uint8_t* signs,
+                std::size_t n, float norm, int s, float* out)
+{
+    static CachedKernel cache;
+    cache.get<QsgdDequantizeFn>("lowp.qsgd_dequantize")(levels, signs, n,
+                                                        norm, s, out);
 }
 
 } // namespace buckwild::lowp

@@ -178,6 +178,29 @@ void round_levels_i8(const float* g, std::size_t n, float scale,
 void quantize_sign_1bit(const float* g, std::size_t n, float scale,
                         float* q, float* residual, std::uint8_t* payload);
 
+/// QSGD level rounding over one norm bucket: Eq. (4) on the grid
+/// GridSpec{1/s, 0, s} of normalized magnitudes. Per element, with
+/// u = rng::to_unit_float(words[k]) and q = norm * (level * (1/s)):
+///
+///  - levels[k] = round_unbiased_raw(|g[k]| / norm, {1/s, 0, s}, u), the
+///    ratio taken as 0 when !(norm > 0) (both divisions in double); a
+///    NaN ratio (an infinite |g[k]| over an infinite norm) gives 0;
+///  - bit k % 8 of signs[k / 8] = !(g[k] >= 0) (NaN counts negative);
+///    all (n + 7) / 8 bytes are written, padding bits zero;
+///  - residual[k] = g[k] - (negative ? -q : q) when `residual` is non-null.
+///
+/// `s` is in [1, 127]. Branch-free per element; the AVX2 variant is
+/// bit-identical (IEEE division is correctly rounded in every lane).
+void qsgd_round(const float* g, std::size_t n, float norm, int s,
+                const std::uint32_t* words, std::uint8_t* levels,
+                std::uint8_t* signs, float* residual);
+
+/// The inverse of qsgd_round: out[k] = ±norm * (levels[k] * (1/s)),
+/// negative where bit k % 8 of signs[k / 8] is set — bit-identical to
+/// the value qsgd_round subtracted into the residual.
+void qsgd_dequantize(const std::uint8_t* levels, const std::uint8_t* signs,
+                     std::size_t n, float norm, int s, float* out);
+
 /// Always-scalar reference implementations of every array kernel above,
 /// for scalar-vs-AVX2 equivalence testing.
 namespace scalar {
@@ -199,6 +222,11 @@ void round_levels_i8(const float* g, std::size_t n, float scale,
                      std::int8_t* levels, float* q, float* residual);
 void quantize_sign_1bit(const float* g, std::size_t n, float scale,
                         float* q, float* residual, std::uint8_t* payload);
+void qsgd_round(const float* g, std::size_t n, float norm, int s,
+                const std::uint32_t* words, std::uint8_t* levels,
+                std::uint8_t* signs, float* residual);
+void qsgd_dequantize(const std::uint8_t* levels, const std::uint8_t* signs,
+                     std::size_t n, float norm, int s, float* out);
 
 } // namespace scalar
 

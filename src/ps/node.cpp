@@ -17,6 +17,7 @@
 #include "ps/shard.h"
 #include "ps/wire.h"
 #include "ps/workload.h"
+#include "simd/ops.h"
 #include "simd/sparse_ops.h"
 #include "util/logging.h"
 #include "util/stopwatch.h"
@@ -141,22 +142,23 @@ run_worker_rounds(const ClusterConfig& config,
             // Mini-batch gradient on this worker's data slice.
             BUCKWILD_OBS_SPAN("ps", "worker.minibatch");
             Stopwatch minibatch_clock;
+            using Ops = simd::DenseOps<float, float>;
             std::fill(gradient.begin(), gradient.end(), 0.0f);
             for (std::size_t b = 0; b < config.batch; ++b) {
                 const std::size_t i =
                     ex_begin + ((round - 1) * config.batch + b) % ex_count;
                 const float* x = problem.row(i);
-                float z = 0.0f;
-                for (std::size_t k = 0; k < dim; ++k) z += model[k] * x[k];
+                const float z =
+                    Ops::dot(config.impl, x, model.data(), dim, 1.0f, 1.0f);
                 const float g = core::loss_gradient_coefficient(
                     config.loss, z, problem.y[i]);
                 if (g == 0.0f) continue;
-                for (std::size_t k = 0; k < dim; ++k)
-                    gradient[k] += g * x[k];
+                Ops::axpy(config.impl, gradient.data(), x, dim, g, 1.0f,
+                          1.0f, simd::biased_unit());
             }
             if (feedback)
-                for (std::size_t k = 0; k < dim; ++k)
-                    gradient[k] += residual[k];
+                Ops::axpy(config.impl, gradient.data(), residual.data(), dim,
+                          1.0f, 1.0f, 1.0f, simd::biased_unit());
             // Cumulative GNPS inputs for the live conformance
             // watchdog: numbers touched / seconds busy in compute.
             BUCKWILD_OBS_GAUGE_ADD("ps.worker.numbers",
@@ -245,39 +247,39 @@ run_worker_rounds(const ClusterConfig& config,
             // Mini-batch gradient over only the touched coordinates.
             BUCKWILD_OBS_SPAN("ps", "worker.minibatch");
             Stopwatch minibatch_clock;
+            using Ops = simd::SparseOps<std::uint32_t>;
+            constexpr auto kAbsolute = simd::sparse::IndexMode::kAbsolute;
+            const auto join_support = [&](const std::uint32_t* index,
+                                          std::size_t count) {
+                for (std::size_t j = 0; j < count; ++j)
+                    if (!in_support[index[j]]) {
+                        in_support[index[j]] = 1;
+                        touched.push_back(index[j]);
+                    }
+            };
             for (std::size_t b = 0; b < config.batch; ++b) {
                 const std::size_t i =
                     ex_begin + ((round - 1) * config.batch + b) % ex_count;
                 const dataset::SparseRow& x = problem.rows[i];
                 const std::size_t nnz = x.value.size();
                 batch_numbers += nnz;
-                const float z = simd::SparseOps<std::uint32_t>::dot(
-                    config.impl, x.value.data(), x.index.data(), nnz,
-                    model.data(), 1.0f,
-                    simd::sparse::IndexMode::kAbsolute);
+                const float z =
+                    Ops::dot(config.impl, x.value.data(), x.index.data(),
+                             nnz, model.data(), 1.0f, kAbsolute);
                 const float g = core::loss_gradient_coefficient(
                     config.loss, z, problem.y[i]);
                 if (g == 0.0f) continue;
-                for (std::size_t j = 0; j < nnz; ++j) {
-                    const std::uint32_t k = x.index[j];
-                    if (!in_support[k]) {
-                        in_support[k] = 1;
-                        touched.push_back(k);
-                    }
-                    acc[k] += g * x.value[j];
-                }
+                join_support(x.index.data(), nnz);
+                Ops::axpy(config.impl, acc.data(), x.value.data(),
+                          x.index.data(), nnz, g, kAbsolute);
             }
             // Carried residual joins the round's support (a coordinate
             // with pending feedback is pushed even if this minibatch
             // missed it).
-            for (std::size_t j = 0; j < residual_index.size(); ++j) {
-                const std::uint32_t k = residual_index[j];
-                if (!in_support[k]) {
-                    in_support[k] = 1;
-                    touched.push_back(k);
-                }
-                acc[k] += residual_value[j];
-            }
+            join_support(residual_index.data(), residual_index.size());
+            Ops::axpy(config.impl, acc.data(), residual_value.data(),
+                      residual_index.data(), residual_index.size(), 1.0f,
+                      kAbsolute);
             BUCKWILD_OBS_GAUGE_ADD("ps.worker.numbers",
                                    static_cast<double>(batch_numbers));
             BUCKWILD_OBS_GAUGE_ADD("ps.worker.seconds",
@@ -513,9 +515,8 @@ evaluate_model(const dataset::DenseProblem& problem, core::Loss loss,
     double total = 0.0;
     std::size_t correct = 0;
     for (std::size_t i = 0; i < problem.examples; ++i) {
-        float z = 0.0f;
-        const float* x = problem.row(i);
-        for (std::size_t k = 0; k < problem.dim; ++k) z += model[k] * x[k];
+        const float z = simd::DenseOps<float, float>::dot(
+            problem.row(i), model.data(), problem.dim, 1.0f, 1.0f);
         total += core::loss_value(loss, z, problem.y[i]);
         if (core::loss_correct(loss, z, problem.y[i])) ++correct;
     }

@@ -1,6 +1,7 @@
 #include "ps/quantize.h"
 
 #include <algorithm>
+#include <array>
 #include <bit>
 #include <cmath>
 #include <cstdlib>
@@ -155,82 +156,231 @@ quantize_into(const float* g, std::size_t n, int bits, float* q,
 // QSGD (CsQ<b>): bucketed L2 norm + stochastic Elias-gamma levels
 // ---------------------------------------------------------------------
 
-/// The grid point a (norm, level) pair decodes to. One definition used by
-/// both encode (for the error-feedback residual) and decode, so the
-/// residual is computed against bit-identically what the receiver applies.
-inline float
-qsgd_point(float norm, long level, float inv_s)
-{
-    return norm * (static_cast<float>(level) * inv_s);
-}
-
-/// MSB-first bit appender over a byte vector (the gamma bitstream region
-/// of a CsQ payload, following the sign bitmap).
-class BitWriter
+/// Elias-gamma writer over a 64-bit accumulator. gamma(v) for v >= 1 is
+/// v itself written MSB-first in 2 * bit_width(v) - 1 bits: the leading
+/// bit_width(v) - 1 of them are the zeros that give the code its length.
+/// Codes append after whatever `out` already holds, as big-endian 32-bit
+/// words; finish() pads the last byte with zero bits.
+class GammaWriter
 {
   public:
-    explicit BitWriter(std::vector<std::uint8_t>& out) : out_(out) {}
+    explicit GammaWriter(std::vector<std::uint8_t>& out)
+        : out_(out), pos_(out.size())
+    {}
 
+    /// Appends gamma(values[i] + bias) for every i < count (each sum
+    /// >= 1). The batch sizes the output once, from the widest value, so
+    /// the loop keeps its state in registers and checks no capacity.
+    template <typename T>
     void
-    put(bool bit)
+    put(const T* values, std::size_t count, std::uint32_t bias)
     {
-        if (used_ == 0) out_.push_back(0);
-        if (bit) out_.back() |= static_cast<std::uint8_t>(0x80u >> used_);
-        used_ = (used_ + 1) % 8;
+        if (count == 0) return;
+        std::uint32_t any = 0;
+        for (std::size_t i = 0; i < count; ++i) any |= values[i] + bias;
+        const std::size_t max_bits =
+            count * static_cast<std::size_t>(2 * std::bit_width(any) - 1);
+        const std::size_t need =
+            pos_ + (max_bits + static_cast<std::size_t>(pending_)) / 8 + 8;
+        if (out_.size() < need) out_.resize(std::max(need, 2 * out_.size()));
+
+        std::uint8_t* out = out_.data() + pos_;
+        std::uint64_t acc = acc_; // pending bits in the low `pending`
+        int pending = pending_;   // < 32 between codes
+        const auto append = [&](std::uint32_t bits, int len) { // len <= 32
+            acc = (acc << len) | bits;
+            pending += len;
+            if (pending < 32) return;
+            pending -= 32;
+            std::uint32_t word = static_cast<std::uint32_t>(acc >> pending);
+            if constexpr (std::endian::native == std::endian::little)
+                word = __builtin_bswap32(word);
+            std::memcpy(out, &word, 4);
+            out += 4;
+        };
+        for (std::size_t i = 0; i < count; ++i) {
+            const std::uint32_t v = values[i] + bias;
+            const int width = std::bit_width(v);
+            if (width <= 16) {
+                append(v, 2 * width - 1);
+            } else {
+                append(0, width - 1);
+                append(v, width);
+            }
+        }
+        pos_ = static_cast<std::size_t>(out - out_.data());
+        acc_ = acc;
+        pending_ = pending;
     }
 
-    /// Elias gamma: for v >= 1 of bit-width w, w-1 zero bits then v
-    /// MSB-first (w bits, leading 1 included).
     void
-    put_gamma(std::uint32_t v)
+    finish()
     {
-        const int width = std::bit_width(v);
-        for (int i = 0; i < width - 1; ++i) put(false);
-        for (int i = width - 1; i >= 0; --i) put(((v >> i) & 1u) != 0);
+        if (pos_ + 4 > out_.size()) out_.resize(pos_ + 4);
+        for (; pending_ >= 8; pending_ -= 8)
+            out_[pos_++] = static_cast<std::uint8_t>(acc_ >> (pending_ - 8));
+        if (pending_ > 0)
+            out_[pos_++] = static_cast<std::uint8_t>(acc_ << (8 - pending_));
+        pending_ = 0;
+        out_.resize(pos_);
     }
 
   private:
     std::vector<std::uint8_t>& out_;
-    int used_ = 0;
+    std::size_t pos_;
+    std::uint64_t acc_ = 0;
+    int pending_ = 0;
 };
 
-/// Bounds-checked MSB-first bit reader over the gamma region of a CsQ
-/// payload. Truncation is a wire-format violation, not a soft error.
-class BitReader
+/// The gamma codes that fit whole in one byte of the stream, for every
+/// byte value: how many, the bits they span, and their values minus one
+/// (CsQ levels), packed one per byte. Most CsQ codes are 1 or 3 bits, so
+/// one lookup usually decodes several.
+struct ByteCodes
+{
+    std::uint8_t levels[8] = {};
+    std::uint8_t count = 0;
+    std::uint8_t bits = 0;
+    std::uint8_t max_level = 0;
+};
+
+const std::array<ByteCodes, 256>&
+byte_codes()
+{
+    static const std::array<ByteCodes, 256> table = [] {
+        std::array<ByteCodes, 256> t{};
+        for (unsigned byte = 0; byte < 256; ++byte) {
+            ByteCodes& e = t[byte];
+            for (;;) {
+                const unsigned rest = (byte << e.bits) & 0xFFu;
+                const int zeros = std::countl_zero(rest) - 24; // 8-bit view
+                const int len = 2 * zeros + 1;
+                if (rest == 0 || e.bits + len > 8) break;
+                const auto level =
+                    static_cast<std::uint8_t>((rest >> (8 - len)) - 1u);
+                e.levels[e.count++] = level;
+                e.max_level = std::max(e.max_level, level);
+                e.bits = static_cast<std::uint8_t>(e.bits + len);
+            }
+        }
+        return t;
+    }();
+    return table;
+}
+
+/// Word-at-a-time Elias-gamma reader. It holds up to 64 stream bits
+/// MSB-aligned in `window_`, finds each code's length with countl_zero
+/// and refills with whole bytes from one 8-byte load, so every bit
+/// below the window is zero. Truncation and overlong codes (more than
+/// 31 leading zeros: no 32-bit value has one) are wire-format
+/// violations, not soft errors.
+class GammaReader
 {
   public:
-    BitReader(const std::uint8_t* data, std::size_t total_bytes,
-              std::size_t start_byte)
-        : data_(data), bit_(start_byte * 8), end_(total_bytes * 8)
-    {}
-
-    bool
-    get()
+    GammaReader(const std::uint8_t* data, std::size_t size)
+        : data_(data), size_(size)
     {
-        if (bit_ >= end_) fatal("CsQ payload truncated mid-bitstream");
-        const bool bit = (data_[bit_ / 8] >> (7 - bit_ % 8)) & 1u;
-        ++bit_;
-        return bit;
+        refill();
     }
 
     std::uint32_t
-    get_gamma()
+    get()
     {
-        int zeros = 0;
-        while (!get())
-            if (++zeros > 31) fatal("CsQ gamma code overlong");
-        std::uint32_t v = 1;
-        for (int i = 0; i < zeros; ++i)
-            v = (v << 1) | static_cast<std::uint32_t>(get());
+        if (bits_ < 32) refill();
+        const int zeros = std::countl_zero(window_);
+        if (zeros > 31 || zeros >= bits_)
+            fatal(bits_ >= 32 ? "CsQ gamma code overlong"
+                              : "CsQ payload truncated mid-bitstream");
+        const int len = 2 * zeros + 1;
+        if (len <= bits_) {
+            const auto v = static_cast<std::uint32_t>(window_ >> (64 - len));
+            consume(len);
+            return v;
+        }
+        // The code outruns the window: a value wider than 28 bits, or
+        // the end of the stream.
+        consume(zeros);
+        refill();
+        if (bits_ < zeros + 1) fatal("CsQ payload truncated mid-bitstream");
+        const auto v = static_cast<std::uint32_t>(window_ >> (63 - zeros));
+        consume(zeros + 1);
         return v;
     }
 
-    std::size_t bit_position() const { return bit_; }
+    /// Reads `count` CsQ levels (gamma values minus one) into `out`,
+    /// rejecting any above `s`. Whole bytes of short codes go through
+    /// the byte_codes() table; the rest, and the stream's last byte,
+    /// through get().
+    void
+    get_levels(std::uint8_t* out, std::size_t count, std::uint32_t s)
+    {
+        const auto& table = byte_codes();
+        std::size_t j = 0;
+        while (j + 8 <= count) {
+            if (bits_ < 32) refill();
+            if (bits_ < 8) break;
+            const ByteCodes& codes = table[window_ >> 56];
+            if (codes.count == 0 || codes.max_level > s) {
+                out[j++] = get_level(s);
+                continue;
+            }
+            std::memcpy(out + j, codes.levels, 8);
+            j += codes.count;
+            consume(codes.bits);
+        }
+        for (; j < count; ++j) out[j] = get_level(s);
+    }
+
+    /// Whole bytes the codes read so far span (the last one padded).
+    std::size_t
+    bytes_read() const
+    {
+        return (next_ * 8 - static_cast<std::size_t>(bits_) + 7) / 8;
+    }
 
   private:
+    std::uint8_t
+    get_level(std::uint32_t s)
+    {
+        const std::uint32_t level = get() - 1;
+        if (level > s) fatal("CsQ level exceeds the codec's level count");
+        return static_cast<std::uint8_t>(level);
+    }
+
+    void
+    consume(int len)
+    {
+        window_ <<= len;
+        bits_ -= len;
+    }
+
+    void
+    refill()
+    {
+        const std::size_t take = std::min<std::size_t>(
+            static_cast<std::size_t>(64 - bits_) / 8, size_ - next_);
+        if (take == 0) return;
+        std::uint64_t word = 0;
+        if (next_ + 8 <= size_) {
+            std::memcpy(&word, data_ + next_, 8);
+            if constexpr (std::endian::native == std::endian::little)
+                word = __builtin_bswap64(word);
+        } else {
+            for (std::size_t i = 0; i < take; ++i)
+                word |= static_cast<std::uint64_t>(data_[next_ + i])
+                        << (56 - 8 * i);
+        }
+        const int taken = static_cast<int>(8 * take);
+        window_ |= (word >> (64 - taken)) << (64 - taken - bits_);
+        next_ += take;
+        bits_ += taken;
+    }
+
     const std::uint8_t* data_;
-    std::size_t bit_;
-    std::size_t end_;
+    std::size_t size_;
+    std::size_t next_ = 0;    ///< first byte not yet in the window
+    std::uint64_t window_ = 0;
+    int bits_ = 0;            ///< valid bits at the top of window_
 };
 
 WireGradient
@@ -242,52 +392,40 @@ encode_qsgd(const float* g, std::size_t n, int bits, float* residual,
     rng::Xorshift128Plus fallback;
     if (rng == nullptr) rng = &fallback;
 
-    const long s = (1L << (bits - 1)) - 1;
-    const float inv_s = 1.0f / static_cast<float>(s);
-    // QSGD levels on the lowp grid: quantum 1/s over raw range [0, s]
-    // of the normalized magnitude |g|/norm — stochastic rounding is
-    // exactly Eq. (4) on that grid.
-    const lowp::GridSpec grid{1.0 / static_cast<double>(s), 0, s};
-
+    const int s = (1 << (bits - 1)) - 1;
     WireGradient wire;
     wire.kind = CodecKind::kQsgd;
     wire.bits = bits;
     wire.count = static_cast<std::uint32_t>(n);
     const std::size_t buckets = (n + kQsgdBucket - 1) / kQsgdBucket;
     wire.norms.resize(buckets);
-    const std::size_t sign_bytes = (n + 7) / 8;
-    wire.payload.assign(sign_bytes, 0);
-    BitWriter writer(wire.payload);
+    wire.payload.resize((n + 7) / 8);
+    GammaWriter writer(wire.payload);
 
+    std::uint32_t words[kQsgdBucket];
+    std::uint8_t levels[kQsgdBucket];
     for (std::size_t b = 0; b < buckets; ++b) {
         const std::size_t begin = b * kQsgdBucket;
-        const std::size_t end = std::min(n, begin + kQsgdBucket);
+        const std::size_t len = std::min(n, begin + kQsgdBucket) - begin;
         double sumsq = 0.0;
-        for (std::size_t k = begin; k < end; ++k)
+        for (std::size_t k = begin; k < begin + len; ++k)
             sumsq += static_cast<double>(g[k]) * static_cast<double>(g[k]);
         const float norm = static_cast<float>(std::sqrt(sumsq));
         wire.norms[b] = norm;
 
-        for (std::size_t k = begin; k < end; ++k) {
-            // Same sign convention as Cs1: bit set = negative, and NaN
-            // counts as negative (matching !(g >= 0)).
-            const bool negative = !(g[k] >= 0.0f);
-            if (negative)
-                wire.payload[k / 8] |=
-                    static_cast<std::uint8_t>(1u << (k % 8));
-            const double ratio =
-                norm > 0.0f ? static_cast<double>(std::fabs(g[k])) /
-                                  static_cast<double>(norm)
-                            : 0.0;
-            const float u = rng::to_unit_float(
-                static_cast<std::uint32_t>((*rng)() >> 32));
-            const long level = lowp::round_unbiased_raw(ratio, grid, u);
-            writer.put_gamma(static_cast<std::uint32_t>(level) + 1);
-            const float point = qsgd_point(norm, level, inv_s);
-            const float q = negative ? -point : point;
-            if (residual != nullptr) residual[k] = g[k] - q;
-        }
+        // Pass 1: the bucket's dither, one word per coordinate in
+        // coordinate order (rng consumption is part of the golden).
+        for (std::size_t j = 0; j < len; ++j)
+            words[j] = static_cast<std::uint32_t>((*rng)() >> 32);
+        // Pass 2: levels, sign bits (bit set = negative, NaN included,
+        // as for Cs1) and residual in the substrate's kernel; then the
+        // levels + 1 go out gamma-coded.
+        lowp::qsgd_round(g + begin, len, norm, s, words, levels,
+                         wire.payload.data() + begin / 8,
+                         residual != nullptr ? residual + begin : nullptr);
+        writer.put(levels, len, 1);
     }
+    writer.finish();
     return wire;
 }
 
@@ -302,18 +440,24 @@ decode_qsgd(const WireGradient& wire)
     if (wire.payload.size() < sign_bytes)
         fatal("CsQ payload shorter than its sign bitmap");
 
-    const long s = (1L << (wire.bits - 1)) - 1;
-    const float inv_s = 1.0f / static_cast<float>(s);
-    BitReader reader(wire.payload.data(), wire.payload.size(), sign_bytes);
+    const std::uint32_t s = (1u << (wire.bits - 1)) - 1;
+    GammaReader reader(wire.payload.data() + sign_bytes,
+                       wire.payload.size() - sign_bytes);
     std::vector<float> g(n);
-    for (std::size_t k = 0; k < n; ++k) {
-        const long level = static_cast<long>(reader.get_gamma()) - 1;
-        if (level > s) fatal("CsQ level exceeds the codec's level count");
-        const float point =
-            qsgd_point(wire.norms[k / kQsgdBucket], level, inv_s);
-        const bool negative = (wire.payload[k / 8] >> (k % 8)) & 1u;
-        g[k] = negative ? -point : point;
+    std::uint8_t levels[kQsgdBucket];
+    for (std::size_t b = 0; b < buckets; ++b) {
+        const std::size_t begin = b * kQsgdBucket;
+        const std::size_t len = std::min(n, begin + kQsgdBucket) - begin;
+        reader.get_levels(levels, len, s);
+        lowp::qsgd_dequantize(levels, wire.payload.data() + begin / 8, len,
+                              wire.norms[b], static_cast<int>(s),
+                              g.data() + begin);
     }
+    // The stream must end in the payload's last byte, as the sparse
+    // index stream must: bytes past the bit padding are a wire-format
+    // violation, not slack.
+    if (sign_bytes + reader.bytes_read() != wire.payload.size())
+        fatal("CsQ payload has trailing bytes");
     return g;
 }
 
@@ -439,12 +583,14 @@ encode_sparse_gradient(const GradientView& view, const Codec& codec,
     WireGradient wire = encode_gradient(view.values, view.count, codec,
                                         residual, rng);
     wire.dim = view.dim;
-    BitWriter writer(wire.index_payload);
-    for (std::size_t i = 0; i < index.size(); ++i) {
-        const std::uint32_t gap =
-            i == 0 ? index[0] + 1 : index[i] - index[i - 1];
-        writer.put_gamma(gap);
-    }
+    // Gaps in place: index0 + 1, then each coordinate's distance from
+    // its predecessor.
+    for (std::size_t i = index.size() - 1; i > 0; --i)
+        index[i] -= index[i - 1];
+    index[0] += 1;
+    GammaWriter writer(wire.index_payload);
+    writer.put(index.data(), index.size(), 0);
+    writer.finish();
     return wire;
 }
 
@@ -464,11 +610,10 @@ decode_sparse_gradient(const WireGradient& wire)
             fatal("empty sparse gradient carries index bytes");
         return s;
     }
-    BitReader reader(wire.index_payload.data(), wire.index_payload.size(),
-                     0);
+    GammaReader reader(wire.index_payload.data(), wire.index_payload.size());
     std::uint64_t cursor = 0;
     for (std::size_t i = 0; i < nnz; ++i) {
-        const std::uint32_t gap = reader.get_gamma(); // >= 1 by gamma
+        const std::uint32_t gap = reader.get(); // >= 1 by gamma
         cursor = i == 0 ? static_cast<std::uint64_t>(gap) - 1
                         : cursor + gap;
         if (cursor >= s.dim)
@@ -477,7 +622,7 @@ decode_sparse_gradient(const WireGradient& wire)
     }
     // The stream must fill the payload to its last byte — anything past
     // bit padding is a wire-format violation, same as a truncated run.
-    if ((reader.bit_position() + 7) / 8 != wire.index_payload.size())
+    if (reader.bytes_read() != wire.index_payload.size())
         fatal("sparse gradient index payload has trailing bytes");
     return s;
 }

@@ -181,7 +181,8 @@ WireGradient encode_gradient(const float* g, std::size_t n, int bits,
 /// Unpacks a wire gradient back into dequantized float values. A sparse
 /// wire gradient densifies to its full `dim` coordinates.
 /// @throws std::runtime_error on a malformed payload (size mismatch,
-/// truncated bitstream, out-of-range level).
+/// truncated or overlong gamma code, out-of-range level, bytes past the
+/// bitstream's padding).
 std::vector<float> decode_gradient(const WireGradient& wire);
 
 /**

@@ -2,7 +2,6 @@
 
 #include <cmath>
 
-#include "simd/sparse_kernels.h"
 #include "util/logging.h"
 
 namespace buckwild::serve {
@@ -71,21 +70,22 @@ InferenceEngine::score_sparse(const ServingModel& model,
             fatal("sparse request coordinate " + std::to_string(index[j]) +
                   " out of range for model dimension " +
                   std::to_string(model.dim()));
+    constexpr auto kAbsolute = simd::sparse::IndexMode::kAbsolute;
     float z = 0.0f;
     switch (model.precision()) {
       case Precision::kInt8:
-        z = simd::sparse::dot(value, index, nnz, model.weights_i8(),
-                              model.quantum(),
-                              simd::sparse::IndexMode::kAbsolute);
+        z = simd::SparseOps<std::uint32_t, float, std::int8_t>::dot(
+            impl_, value, index, nnz, model.weights_i8(), model.quantum(),
+            kAbsolute);
         break;
       case Precision::kInt16:
-        z = simd::sparse::dot(value, index, nnz, model.weights_i16(),
-                              model.quantum(),
-                              simd::sparse::IndexMode::kAbsolute);
+        z = simd::SparseOps<std::uint32_t, float, std::int16_t>::dot(
+            impl_, value, index, nnz, model.weights_i16(), model.quantum(),
+            kAbsolute);
         break;
       case Precision::kFloat32:
-        z = simd::sparse::dot(value, index, nnz, model.weights_f32(), 1.0f,
-                              simd::sparse::IndexMode::kAbsolute);
+        z = simd::SparseOps<std::uint32_t>::dot(
+            impl_, value, index, nnz, model.weights_f32(), 1.0f, kAbsolute);
         break;
     }
     return finish(model, z);

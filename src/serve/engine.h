@@ -8,8 +8,8 @@
  * the (float data, Ms-rep model) pairs — a request's features stay float,
  * the model side is whatever the serving precision chose, so Ms8 scoring
  * runs the D-float/M-int8 kernels and is memory-bandwidth-bound on the
- * model stream exactly as §3 predicts. Sparse requests go through the
- * sparse dot kernels with absolute 32-bit indices.
+ * model stream exactly as §3 predicts. Sparse requests go through
+ * simd::SparseOps at the same pairs, with absolute 32-bit indices.
  *
  * The margin z = w.x is then pushed through the loss's link function:
  * logistic → sigmoid(z) (probability of the +1 class), squared → z (the
@@ -24,6 +24,7 @@
 
 #include "serve/model_registry.h"
 #include "simd/ops.h"
+#include "simd/sparse_ops.h"
 
 namespace buckwild::serve {
 
@@ -47,6 +48,7 @@ class InferenceEngine
         // Requests are scored under SLO deadlines; pay the one-time
         // kernel-registry resolution at construction instead.
         simd::warm_dense_kernels();
+        simd::warm_sparse_kernels();
     }
 
     simd::Impl impl() const { return impl_; }

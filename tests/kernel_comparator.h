@@ -451,73 +451,143 @@ sparse_delta_stream(std::size_t count, std::size_t off,
     return stream;
 }
 
+/// A sparse stream's [-1, 1] values at value rep V: scaled to the rep's
+/// symmetric range for the integer reps.
+template <typename V>
+AlignedBuffer<V>
+sparse_values(const AlignedBuffer<float>& value)
+{
+    constexpr float kLim = std::is_same_v<V, float> ? 1.0f
+                           : sizeof(V) == 1          ? 127.0f
+                                                     : 32767.0f;
+    AlignedBuffer<V> out(value.size());
+    for (std::size_t j = 0; j < value.size(); ++j)
+        out[j] = static_cast<V>(value[j] * kLim);
+    return out;
+}
+
 } // namespace detail
 
 /**
- * Sweeps every runnable registered variant of one index rep's sparse dot
- * and AXPY against the reference over nnz = comparator_dims() (0..129
- * plus large) x kComparatorOffsets, in both index modes: absolute
- * coordinates (when nnz distinct coordinates fit the rep) and
- * delta-encoded gaps with builder-style max-gap zero padding (the i8
- * gap-overflow edge case).
+ * Checks every runnable registered variant of one (I, V, W) family's
+ * sparse dot and AXPY against the reference on one stream. `vbuf` holds
+ * the stream's values at rep V and `wbuf` a model over its span, both
+ * with the stream's element offset. Integer-accumulating dots (fixed
+ * values x fixed model) must be bit-exact; fixed-model AXPYs have only
+ * the reference variant.
+ */
+template <typename I, typename V, typename W, typename Stream>
+void
+compare_sparse_family(const Stream& stream, std::size_t count,
+                      std::size_t off, const AlignedBuffer<V>& vbuf,
+                      const AlignedBuffer<W>& wbuf,
+                      simd::sparse::IndexMode mode, const char* mode_tag)
+{
+    using Ops = simd::SparseOps<I, V, W>;
+    using Names = simd::SparseOpNames<I, V, W>;
+    using DotFn = typename Ops::DotFn;
+    using AxpyFn = typename Ops::AxpyFn;
+    constexpr bool kFloatModel = std::is_same_v<W, float>;
+    constexpr bool kDotBitExact =
+        std::is_integral_v<V> && std::is_integral_v<W>;
+
+    const auto& lib = simd::KernelLibrary::instance();
+    const char* dot_name = Names::dot.c_str();
+    const char* axpy_name = Names::axpy.c_str();
+    const auto dots = comparator_variants<DotFn>(dot_name);
+    const auto axpys = comparator_variants<AxpyFn>(axpy_name);
+    ASSERT_FALSE(dots.empty()) << Names::dot;
+    ASSERT_EQ(axpys.empty(), !kFloatModel) << Names::axpy;
+    const DotFn ref_dot = lib.get<DotFn>(dot_name, simd::Impl::kReference);
+    const AxpyFn ref_axpy =
+        lib.get<AxpyFn>(axpy_name, simd::Impl::kReference);
+
+    const V* val = vbuf.data() + off;
+    const I* idx = stream.index.data() + off;
+    const W* w = wbuf.data() + off;
+    const std::string where = std::string(" ") + mode_tag +
+                              " nnz=" + std::to_string(count) +
+                              " off=" + std::to_string(off);
+
+    const float r = ref_dot(val, idx, count, w, 1.0f, mode);
+    for (const auto& [impl, fn] : dots) {
+        const float v = fn(val, idx, count, w, 1.0f, mode);
+        if constexpr (kDotBitExact)
+            EXPECT_EQ(r, v) << Names::dot << " " << simd::to_string(impl)
+                            << where;
+        else
+            EXPECT_NEAR(r, v,
+                        1e-4f * (static_cast<float>(count) + 1.0f) +
+                            std::fabs(r) * 1e-4f + 1e-3f)
+                << Names::dot << " " << simd::to_string(impl) << where;
+    }
+
+    if constexpr (kFloatModel) {
+        constexpr float kCs[] = {0.5f, -0.25f, 1.5f, -1.9f, 0.03f, 0.9f};
+        // Keeps cf * value near unit magnitude on the integer value reps.
+        constexpr float kScale = std::is_same_v<V, float> ? 1.0f
+                                 : sizeof(V) == 1          ? 1.0f / 127.0f
+                                                           : 1.0f / 32767.0f;
+        const float c = kCs[(count + off) % 6] * kScale;
+        const simd::FixedScalar cs{0, 0};
+        auto w_ref = wbuf;
+        ref_axpy(w_ref.data() + off, val, idx, count, cs, c,
+                 simd::biased_unit(), mode);
+        for (const auto& [impl, fn] : axpys) {
+            auto w_var = wbuf;
+            fn(w_var.data() + off, val, idx, count, cs, c,
+               simd::biased_unit(), mode);
+            expect_span_near(w_ref.data() + off, w_var.data() + off,
+                             stream.dim, 1e-5,
+                             Names::axpy + " " + simd::to_string(impl) +
+                                 where);
+        }
+    }
+}
+
+/**
+ * Sweeps every (V, W) family of one index rep over nnz =
+ * comparator_dims() (0..129 plus large) x kComparatorOffsets, in both
+ * index modes: absolute coordinates (when nnz distinct coordinates fit
+ * the rep) and delta-encoded gaps with builder-style max-gap zero
+ * padding (the i8 gap-overflow edge case).
  */
 template <typename I>
 void
 compare_sparse_index_rep()
 {
-    using Ops = simd::SparseOps<I>;
-    using Names = simd::SparseIndexNames<I>;
-    using DotFn = typename Ops::DotFn;
-    using AxpyFn = typename Ops::AxpyFn;
-
     simd::register_sparse_kernels();
-    const auto& lib = simd::KernelLibrary::instance();
-    const auto dots = comparator_variants<DotFn>(Names::dot);
-    const auto axpys = comparator_variants<AxpyFn>(Names::axpy);
-    ASSERT_FALSE(dots.empty()) << Names::dot;
-    ASSERT_FALSE(axpys.empty()) << Names::axpy;
-    const DotFn ref_dot =
-        lib.get<DotFn>(Names::dot, simd::Impl::kReference);
-    const AxpyFn ref_axpy =
-        lib.get<AxpyFn>(Names::axpy, simd::Impl::kReference);
-
     constexpr std::size_t kMaxIndex = std::numeric_limits<I>::max();
-    constexpr float kCs[] = {0.5f, -0.25f, 1.5f, -1.9f, 0.03f, 0.9f};
 
     const auto sweep = [&](const auto& stream, std::size_t count,
                            std::size_t off, std::uint32_t seed,
                            simd::sparse::IndexMode mode,
                            const char* mode_tag) {
-        const float c = kCs[(count + off) % 6];
-        const auto wbuf = comparator_floats(
-            stream.dim + off, seed + 7);
-        const float* val = stream.value.data() + off;
-        const I* idx = stream.index.data() + off;
-
-        const float r =
-            ref_dot(val, idx, count, wbuf.data() + off, 1.0f, mode);
-        for (const auto& [impl, fn] : dots) {
-            const float v =
-                fn(val, idx, count, wbuf.data() + off, 1.0f, mode);
-            EXPECT_NEAR(r, v,
-                        1e-4f * (static_cast<float>(count) + 1.0f) +
-                            std::fabs(r) * 1e-4f + 1e-3f)
-                << Names::dot << " " << simd::to_string(impl) << " "
-                << mode_tag << " nnz=" << count << " off=" << off;
-        }
-
-        auto w_ref = wbuf;
-        ref_axpy(w_ref.data() + off, val, idx, count, c, mode);
-        for (const auto& [impl, fn] : axpys) {
-            auto w_var = wbuf;
-            fn(w_var.data() + off, val, idx, count, c, mode);
-            expect_span_near(w_ref.data() + off, w_var.data() + off,
-                             stream.dim, 1e-5,
-                             std::string(Names::axpy) + " " +
-                                 simd::to_string(impl) + " " + mode_tag +
-                                 " nnz=" + std::to_string(count) +
-                                 " off=" + std::to_string(off));
-        }
+        // One value and one model buffer per rep, shared by the nine
+        // (V, W) families.
+        const auto vf = detail::sparse_values<float>(stream.value);
+        const auto v8 = detail::sparse_values<std::int8_t>(stream.value);
+        const auto v16 = detail::sparse_values<std::int16_t>(stream.value);
+        const std::size_t span = stream.dim + off;
+        const auto wf = comparator_floats(span, seed + 7);
+        const auto w8 = comparator_fixed<std::int8_t>(span, seed + 8, 127);
+        const auto w16 =
+            comparator_fixed<std::int16_t>(span, seed + 9, 32767);
+        const auto each_model = [&](const auto& vbuf) {
+            using V = std::remove_cv_t<
+                std::remove_pointer_t<decltype(vbuf.data())>>;
+            compare_sparse_family<I, V, float>(stream, count, off, vbuf, wf,
+                                               mode, mode_tag);
+            compare_sparse_family<I, V, std::int8_t>(stream, count, off,
+                                                     vbuf, w8, mode,
+                                                     mode_tag);
+            compare_sparse_family<I, V, std::int16_t>(stream, count, off,
+                                                      vbuf, w16, mode,
+                                                      mode_tag);
+        };
+        each_model(vf);
+        each_model(v8);
+        each_model(v16);
     };
 
     for (std::size_t nnz : comparator_dims()) {
@@ -606,6 +676,12 @@ compare_lowp_kernels()
                                    std::int8_t*, float*, float*);
     using Sign1BitFn = void (*)(const float*, std::size_t, float, float*,
                                 float*, std::uint8_t*);
+    using QsgdRoundFn = void (*)(const float*, std::size_t, float, int,
+                                 const std::uint32_t*, std::uint8_t*,
+                                 std::uint8_t*, float*);
+    using QsgdDequantizeFn = void (*)(const std::uint8_t*,
+                                      const std::uint8_t*, std::size_t,
+                                      float, int, float*);
 
     // One shared 256-bit randomness block (fixed seed) for the shared-
     // rounding kernels.
@@ -732,6 +808,58 @@ compare_lowp_kernels()
                     expect_span_eq(pa.data() + off, pb.data() + off,
                                    bytes, what + " payload");
                 });
+            // QSGD levels at CsQ2 / CsQ4 / CsQ8 (s = 1, 7, 127). The norm
+            // is half of max |x|, so the clamp at s is exercised too.
+            std::vector<std::uint32_t> dither(n + off);
+            {
+                rng::Xorshift128 gen(s + 6);
+                for (auto& wd : dither) wd = gen();
+            }
+            const std::uint32_t* words = dither.data() + off;
+            for (const int levels_s : {1, 7, 127}) {
+                const float norm = 0.5f * lowp::scalar::max_abs(x, n);
+                detail::for_each_lowp_variant<QsgdRoundFn>(
+                    "lowp.qsgd_round",
+                    [&](auto ref, auto fn, const std::string& tag) {
+                        const std::size_t bytes = (n + 7) / 8;
+                        AlignedBuffer<std::uint8_t> la(n + off),
+                            lb(n + off), sa(bytes + off), sb(bytes + off);
+                        AlignedBuffer<float> ra(n + off), rb(n + off);
+                        ref(x, n, norm, levels_s, words, la.data() + off,
+                            sa.data() + off, ra.data() + off);
+                        fn(x, n, norm, levels_s, words, lb.data() + off,
+                           sb.data() + off, rb.data() + off);
+                        const auto what = detail::lowp_where(tag, n, off) +
+                                          " s=" + std::to_string(levels_s);
+                        expect_span_eq(la.data() + off, lb.data() + off, n,
+                                       what + " levels");
+                        expect_span_eq(sa.data() + off, sb.data() + off,
+                                       bytes, what + " signs");
+                        expect_span_eq(ra.data() + off, rb.data() + off, n,
+                                       what + " residual");
+                    });
+                detail::for_each_lowp_variant<QsgdDequantizeFn>(
+                    "lowp.qsgd_dequantize",
+                    [&](auto ref, auto fn, const std::string& tag) {
+                        std::vector<std::uint8_t> levels(n + off),
+                            signs((n + 7) / 8 + off);
+                        rng::Xorshift128 gen(s + 7);
+                        for (auto& level : levels)
+                            level = static_cast<std::uint8_t>(
+                                gen() % (levels_s + 1));
+                        for (auto& sign : signs)
+                            sign = static_cast<std::uint8_t>(gen());
+                        AlignedBuffer<float> a(n + off), b(n + off);
+                        ref(levels.data() + off, signs.data() + off, n,
+                            norm, levels_s, a.data() + off);
+                        fn(levels.data() + off, signs.data() + off, n, norm,
+                           levels_s, b.data() + off);
+                        expect_span_eq(a.data() + off, b.data() + off, n,
+                                       detail::lowp_where(tag, n, off) +
+                                           " s=" +
+                                           std::to_string(levels_s));
+                    });
+            }
         }
     }
 }

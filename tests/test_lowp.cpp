@@ -12,8 +12,11 @@
  */
 #include <gtest/gtest.h>
 
+#include <algorithm>
 #include <cmath>
 #include <cstdint>
+#include <cstring>
+#include <limits>
 #include <vector>
 
 #include "buckwild/buckwild.h"
@@ -272,6 +275,98 @@ TEST(LowpKernels, AllRegisteredVariantsMatchScalarReference)
     // over all dims 0..129, large odd sizes, and unaligned offsets —
     // bit-exact everywhere, including the saturation paths.
     testutil::compare_lowp_kernels();
+}
+
+TEST(LowpKernels, QsgdLevelsMatchRoundUnbiasedRawElementwise)
+{
+    // Every tier of lowp.qsgd_round against the scalar definition, one
+    // element at a time: levels, sign bits, and the residual against the
+    // point lowp.qsgd_dequantize reconstructs. Lengths straddle the
+    // vector width; the inputs put levels at both clamps.
+    lowp::register_lowp_kernels();
+    const auto& lib = simd::KernelLibrary::instance();
+    using RoundFn = void (*)(const float*, std::size_t, float, int,
+                             const std::uint32_t*, std::uint8_t*,
+                             std::uint8_t*, float*);
+    rng::Xorshift128 gen(0x95D);
+    for (const simd::Impl impl : lib.registered("lowp.qsgd_round")) {
+        if (!lib.runnable("lowp.qsgd_round", impl)) continue;
+        const auto round = lib.get<RoundFn>("lowp.qsgd_round", impl);
+        for (const int s : {1, 3, 7, 127}) {
+            for (const std::size_t n : {0, 1, 5, 8, 13, 31, 33, 256, 259}) {
+                std::vector<float> g(n);
+                std::vector<std::uint32_t> words(n);
+                for (std::size_t k = 0; k < n; ++k) {
+                    g[k] = (rng::to_unit_float(gen()) - 0.5f) * 4.0f;
+                    words[k] = gen();
+                    if (k % 5 == 1) g[k] = k % 2 ? 0.0f : -0.0f;
+                    // u just below 1 and exactly 0
+                    if (k % 7 == 2) words[k] = 0xFFFFFFFFu;
+                    if (k % 7 == 3) words[k] = 0;
+                }
+                float peak = 0.0f;
+                for (float v : g) peak = std::max(peak, std::fabs(v));
+                // The true norm bound, norms under max |g| (levels clamp
+                // at s), and norm = 0 (every level 0).
+                for (const float norm :
+                     {2.0f * peak, 0.5f * peak, 0.1f * peak, 0.0f}) {
+                    std::vector<std::uint8_t> levels(n), signs((n + 7) / 8);
+                    std::vector<float> residual(n), point(n);
+                    round(g.data(), n, norm, s, words.data(), levels.data(),
+                          signs.data(), residual.data());
+                    lowp::qsgd_dequantize(levels.data(), signs.data(), n,
+                                          norm, s, point.data());
+                    const lowp::GridSpec grid{1.0 / s, 0, s};
+                    for (std::size_t k = 0; k < n; ++k) {
+                        const double ratio =
+                            norm > 0.0f ? std::fabs(g[k]) / double(norm)
+                                        : 0.0;
+                        const long want = lowp::round_unbiased_raw(
+                            ratio, grid, rng::to_unit_float(words[k]));
+                        ASSERT_EQ(levels[k], want)
+                            << simd::to_string(impl) << " s=" << s
+                            << " n=" << n << " norm=" << norm << " k=" << k;
+                        ASSERT_EQ((signs[k / 8] >> (k % 8)) & 1u,
+                                  !(g[k] >= 0.0f) ? 1u : 0u);
+                        ASSERT_EQ(residual[k], g[k] - point[k]) << k;
+                    }
+                    if (n % 8 != 0) { // padding bits stay clear
+                        EXPECT_EQ(signs.back() >> (n % 8), 0) << n;
+                    }
+                }
+            }
+        }
+    }
+}
+
+TEST(LowpKernels, QsgdLevelsOfNanAndInfinity)
+{
+    // A NaN coordinate makes the bucket norm NaN (!(norm > 0)): every
+    // level is 0 and NaN counts negative. An infinite norm sends the
+    // infinite coordinate's NaN ratio to level 0 too — in every tier.
+    const float nan = std::numeric_limits<float>::quiet_NaN();
+    const float inf = std::numeric_limits<float>::infinity();
+    const std::vector<float> g = {1.0f, nan, -2.0f, inf, 0.5f,
+                                  3.0f, -inf, 1.0f, 2.0f};
+    const std::vector<std::uint32_t> words(g.size(), 0xFFFFFFFFu);
+    for (const float norm : {nan, inf}) {
+        std::vector<std::uint8_t> ref_levels(g.size()), ref_signs(2);
+        std::vector<float> ref_residual(g.size());
+        lowp::scalar::qsgd_round(g.data(), g.size(), norm, 7, words.data(),
+                                 ref_levels.data(), ref_signs.data(),
+                                 ref_residual.data());
+        for (std::uint8_t level : ref_levels) EXPECT_EQ(level, 0);
+        EXPECT_EQ(ref_signs[0], 0x46); // coordinates 1 (NaN), 2, 6
+        std::vector<std::uint8_t> levels(g.size()), signs(2);
+        std::vector<float> residual(g.size());
+        lowp::qsgd_round(g.data(), g.size(), norm, 7, words.data(),
+                         levels.data(), signs.data(), residual.data());
+        EXPECT_EQ(levels, ref_levels);
+        EXPECT_EQ(signs, ref_signs);
+        EXPECT_EQ(std::memcmp(residual.data(), ref_residual.data(),
+                              residual.size() * sizeof(float)),
+                  0);
+    }
 }
 
 TEST(LowpKernels, PublicEntriesFollowTheForcedResolution)

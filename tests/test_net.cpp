@@ -17,8 +17,11 @@
 
 #include <algorithm>
 #include <atomic>
+#include <bit>
 #include <cmath>
 #include <cstring>
+#include <limits>
+#include <string>
 #include <thread>
 #include <vector>
 
@@ -712,6 +715,307 @@ TEST(NetQsgd, CsQ4HalvesCs8Traffic)
     EXPECT_LE(csq.wire_bytes() * 2, cs8.wire_bytes())
         << "CsQ4 " << csq.wire_bytes() << "B vs Cs8 " << cs8.wire_bytes()
         << "B";
+}
+
+// ==================================================== NetQsgdGolden
+
+/// FNV-1a over raw bytes: the digest the bit-identity golden pins.
+struct Fnv64
+{
+    std::uint64_t h = 0xCBF29CE484222325ull;
+
+    void
+    bytes(const void* data, std::size_t n)
+    {
+        const auto* p = static_cast<const std::uint8_t*>(data);
+        for (std::size_t i = 0; i < n; ++i) {
+            h ^= p[i];
+            h *= 0x100000001B3ull;
+        }
+    }
+
+    template <typename T>
+    void
+    pod(T value)
+    {
+        bytes(&value, sizeof(value));
+    }
+};
+
+/// One CsQ golden input: a length and a shape that stresses one corner
+/// of the encoder (partial tail bucket, all-zero bucket, NaN, spikes).
+struct QsgdGoldenCase
+{
+    const char* name;
+    std::size_t n;
+};
+
+constexpr QsgdGoldenCase kQsgdGoldenCases[] = {
+    {"n1", 1},          {"n7", 7},       {"n255", 255},
+    {"n256", 256},      {"n700", 700},   {"n1024", 1024},
+    {"n4096", 4096},    {"tail", 1000},  {"zero_bucket", 768},
+    {"nan", 300},
+};
+
+std::vector<float>
+qsgd_golden_input(const QsgdGoldenCase& c, std::size_t index)
+{
+    rng::Xorshift128Plus gen(0x60D0 + index);
+    std::vector<float> g(c.n);
+    for (std::size_t k = 0; k < c.n; ++k) {
+        const float u =
+            rng::to_unit_float(static_cast<std::uint32_t>(gen() >> 32));
+        // Every 37th coordinate spikes, so high levels occur at every s.
+        g[k] = (u - 0.5f) * (k % 37 == 0 ? 400.0f : 8.0f);
+    }
+    const std::string name = c.name;
+    if (name == "tail")
+        for (std::size_t k = 768; k < c.n; ++k) g[k] *= 1e-3f;
+    if (name == "zero_bucket")
+        for (std::size_t k = 256; k < 512; ++k)
+            g[k] = k % 2 == 0 ? 0.0f : -0.0f;
+    if (name == "nan") g[17] = std::numeric_limits<float>::quiet_NaN();
+    return g;
+}
+
+/// Digest of everything one CsQ encode produces: payload bytes, norm
+/// and residual bit patterns, and the next word of the dither stream
+/// (which pins how many words the encoder consumed).
+std::uint64_t
+qsgd_golden_digest(int bits, std::size_t index)
+{
+    const QsgdGoldenCase& c = kQsgdGoldenCases[index];
+    const std::vector<float> g = qsgd_golden_input(c, index);
+    std::vector<float> residual(c.n, 0.0f);
+    rng::Xorshift128Plus dither(1000 + index);
+    const ps::WireGradient wire = ps::encode_gradient(
+        g.data(), c.n, ps::Codec::qsgd(bits), residual.data(), &dither);
+    Fnv64 digest;
+    digest.bytes(wire.payload.data(), wire.payload.size());
+    for (float norm : wire.norms)
+        digest.pod(std::bit_cast<std::uint32_t>(norm));
+    for (float r : residual) digest.pod(std::bit_cast<std::uint32_t>(r));
+    digest.pod(dither());
+    return digest.h;
+}
+
+TEST(NetGolden, CsQEncodeIsBitIdentical)
+{
+    // Recorded from the bit-serial encoder the two-pass encoder
+    // replaced: payload bytes, norms, residuals and dither consumption
+    // must match it exactly. Change the codec and this fails by design.
+    const std::uint64_t golden[3][std::size(kQsgdGoldenCases)] = {
+        // CsQ2
+        {
+            0xe545c9f5e174324dull, 0x82fedc939b2fe71dull, 0xccc6450f8cb2b695ull,
+            0xf48db0be406aeaedull, 0x24bff7cdd624195dull, 0xbbff4b465f304a0dull,
+            0x4dbe917b44f3b4fbull, 0x734873f32bf36ce8ull, 0x7d4ec2fdf8ee38f0ull,
+            0x34dfbeb77086ca99ull,
+        },
+        // CsQ4
+        {
+            0xb7c3a9dccc80055dull, 0xe566a66ba1262dd1ull, 0xa8dcb86e2b3523eull,
+            0x537f6926f01501b9ull, 0x5e8bdc66366033e9ull, 0xff1770471ef2f66ull,
+            0x6d6e7d0529de0f18ull, 0xde48ba205ccbd8cfull, 0x5a6c704abb59a89full,
+            0x27605ab25620d4e6ull,
+        },
+        // CsQ8
+        {
+            0x2f4e8c0d565989d2ull, 0x638bd8b9692b3ddfull, 0xca94a000b3a29a6bull,
+            0x2e35902249c03a5full, 0xa9db67789c1625b4ull, 0x71550f086267d846ull,
+            0xa45db9989f5bbd66ull, 0x5522b174516eed3full, 0x4d73613ac694d900ull,
+            0xb7233ff9d7573047ull,
+        },
+    };
+    const int tiers[3] = {2, 4, 8};
+    for (int t = 0; t < 3; ++t)
+        for (std::size_t i = 0; i < std::size(kQsgdGoldenCases); ++i)
+            EXPECT_EQ(qsgd_golden_digest(tiers[t], i), golden[t][i])
+                << "CsQ" << tiers[t] << " " << kQsgdGoldenCases[i].name
+                << ": 0x" << std::hex << qsgd_golden_digest(tiers[t], i)
+                << "ull";
+}
+
+/// Expects `fn` to throw a std::runtime_error whose message contains
+/// `needle`.
+template <typename Fn>
+void
+expect_rejects(Fn fn, const std::string& needle, const std::string& where)
+{
+    try {
+        fn();
+        ADD_FAILURE() << where << ": accepted, expected '" << needle << "'";
+    } catch (const std::runtime_error& e) {
+        EXPECT_NE(std::string(e.what()).find(needle), std::string::npos)
+            << where << ": '" << e.what() << "', expected '" << needle
+            << "'";
+    }
+}
+
+/// A CsQ wire gradient over `n` coordinates whose gamma stream is the
+/// given bits (MSB-first, '0'/'1' characters) after the sign bitmap.
+ps::WireGradient
+qsgd_wire_with_stream(int bits, std::size_t n, const std::string& stream)
+{
+    ps::WireGradient wire;
+    wire.kind = ps::CodecKind::kQsgd;
+    wire.bits = bits;
+    wire.count = static_cast<std::uint32_t>(n);
+    wire.norms.assign((n + ps::kQsgdBucket - 1) / ps::kQsgdBucket, 1.0f);
+    const std::size_t sign_bytes = (n + 7) / 8;
+    wire.payload.assign(sign_bytes + (stream.size() + 7) / 8, 0);
+    for (std::size_t i = 0; i < stream.size(); ++i)
+        if (stream[i] == '1')
+            wire.payload[sign_bytes + i / 8] |=
+                static_cast<std::uint8_t>(0x80u >> (i % 8));
+    return wire;
+}
+
+TEST(NetQsgd, DecodeRejectsTrailingBytes)
+{
+    rng::Xorshift128Plus fill(404);
+    for (const int bits : {2, 4, 8}) {
+        for (const std::size_t n : {std::size_t{1}, std::size_t{300}}) {
+            std::vector<float> g(n);
+            for (auto& x : g)
+                x = rng::to_unit_float(
+                        static_cast<std::uint32_t>(fill() >> 32)) -
+                    0.5f;
+            rng::Xorshift128Plus dither(bits);
+            ps::WireGradient wire = ps::encode_gradient(
+                g.data(), n, ps::Codec::qsgd(bits), nullptr, &dither);
+            ASSERT_NO_THROW(ps::decode_gradient(wire));
+            wire.payload.push_back(0x00);
+            expect_rejects([&] { ps::decode_gradient(wire); },
+                           "trailing", "CsQ" + std::to_string(bits));
+        }
+    }
+    // A sparse value run is held to the same rule.
+    const float value[2] = {0.5f, -0.25f};
+    const std::uint32_t index[2] = {1, 7};
+    ps::WireGradient sparse = ps::encode_sparse_gradient(
+        ps::GradientView::sparse_view(value, index, 2, 16,
+                                      simd::sparse::IndexMode::kAbsolute),
+        ps::Codec::qsgd(4), nullptr);
+    ASSERT_NO_THROW(ps::decode_sparse_gradient(sparse));
+    sparse.payload.push_back(0x00);
+    expect_rejects([&] { ps::decode_sparse_gradient(sparse); }, "trailing",
+                   "sparse CsQ4");
+}
+
+TEST(NetQsgd, DecodeSweepRejectsMalformedStreams)
+{
+    // Every proper prefix of a valid payload is truncated.
+    for (const int bits : {2, 4, 8}) {
+        const std::size_t n = 700;
+        std::vector<float> g(n);
+        rng::Xorshift128Plus fill(bits);
+        for (auto& x : g)
+            x = rng::to_unit_float(static_cast<std::uint32_t>(fill() >> 32)) -
+                0.5f;
+        rng::Xorshift128Plus dither(99);
+        const ps::WireGradient wire = ps::encode_gradient(
+            g.data(), n, ps::Codec::qsgd(bits), nullptr, &dither);
+        for (std::size_t cut = 0; cut < wire.payload.size(); ++cut) {
+            ps::WireGradient shorter = wire;
+            shorter.payload.resize(cut);
+            EXPECT_THROW(ps::decode_gradient(shorter), std::runtime_error)
+                << "CsQ" << bits << " cut at " << cut;
+        }
+    }
+
+    // A bad code at every bit offset within the decoder's byte window:
+    // `offset` one-bit codes (level 0) put it at offset % 8.
+    const std::size_t n = 40;
+    for (std::size_t offset = 0; offset < 8; ++offset) {
+        const std::string lead(offset, '1');
+        const std::string rest(n - offset - 1, '1');
+        // 32 zeros: no gamma code of a 32-bit value is that long.
+        expect_rejects(
+            [&] {
+                ps::decode_gradient(qsgd_wire_with_stream(
+                    4, n, lead + std::string(32, '0') + "1" + rest));
+            },
+            "overlong", "overlong at offset " + std::to_string(offset));
+        // CsQ4 has s = 7: gamma(9) = 0001001 is level 8.
+        expect_rejects(
+            [&] {
+                ps::decode_gradient(
+                    qsgd_wire_with_stream(4, n, lead + "0001001" + rest));
+            },
+            "level", "level > s at offset " + std::to_string(offset));
+    }
+
+    // Near the payload tail the 64-bit window runs off the end: the same
+    // checks must hold there. 41 one-bit codes put the bad code at bit
+    // 41 of a 42-coordinate stream, so each payload below ends exactly
+    // where its bits say (no zero padding that would lengthen a run).
+    {
+        const std::size_t tail_n = 42;
+        const std::string lead(tail_n - 1, '1');
+        expect_rejects(
+            [&] {
+                ps::decode_gradient(
+                    qsgd_wire_with_stream(4, tail_n, lead + "0001001"));
+            },
+            "level", "level > s at the tail");
+        expect_rejects(
+            [&] {
+                ps::decode_gradient(qsgd_wire_with_stream(
+                    4, tail_n, lead + std::string(32, '0')));
+            },
+            "overlong", "overlong at the tail");
+        // 31 zeros then the end of the payload: truncated, not overlong.
+        expect_rejects(
+            [&] {
+                ps::decode_gradient(qsgd_wire_with_stream(
+                    4, tail_n, lead + std::string(31, '0')));
+            },
+            "truncated", "truncated at the tail");
+        // A code whose value bits run past the last byte.
+        expect_rejects(
+            [&] {
+                ps::decode_gradient(
+                    qsgd_wire_with_stream(4, tail_n, lead + "00001"));
+            },
+            "truncated", "truncated mid-code at the tail");
+    }
+
+    // The sparse index stream shares the reader: every cut of a valid
+    // index payload is rejected.
+    std::vector<std::uint32_t> index;
+    std::vector<float> value;
+    for (std::uint32_t k = 3; k < 60000; k += 1 + (k * 7919) % 997) {
+        index.push_back(k);
+        value.push_back(0.25f);
+    }
+    const ps::WireGradient sparse = ps::encode_sparse_gradient(
+        ps::GradientView::sparse_view(value.data(), index.data(),
+                                      index.size(), 65536,
+                                      simd::sparse::IndexMode::kAbsolute),
+        ps::Codec::from_bits(8), nullptr);
+    ASSERT_EQ(ps::decode_sparse_gradient(sparse).index, index);
+    // Gaps up to 2^32 - 2: gamma codes of up to 63 bits, wider than one
+    // refill of the reader's window, round-trip too.
+    {
+        const std::uint32_t wide[4] = {0, 1u << 20, (1u << 31) + 7,
+                                       0xFFFFFFFEu};
+        const float values[4] = {1.0f, -2.0f, 3.0f, -4.0f};
+        const ps::WireGradient wire = ps::encode_sparse_gradient(
+            ps::GradientView::sparse_view(
+                values, wide, 4, 0xFFFFFFFFu,
+                simd::sparse::IndexMode::kAbsolute),
+            ps::Codec::from_bits(32), nullptr);
+        const ps::SparseGradient back = ps::decode_sparse_gradient(wire);
+        EXPECT_EQ(back.index, std::vector<std::uint32_t>(wide, wide + 4));
+    }
+    for (std::size_t cut = 0; cut < sparse.index_payload.size(); ++cut) {
+        ps::WireGradient shorter = sparse;
+        shorter.index_payload.resize(cut);
+        EXPECT_THROW(ps::decode_sparse_gradient(shorter),
+                     std::runtime_error)
+            << "index stream cut at " << cut;
+    }
 }
 
 // ===================================================== NetTransport

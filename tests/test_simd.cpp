@@ -26,6 +26,7 @@
 #include "simd/dense_ref.h"
 #include "simd/ops.h"
 #include "simd/sparse_kernels.h"
+#include "simd/sparse_ops.h"
 #include "test_common.h"
 #include "util/aligned_buffer.h"
 
@@ -262,12 +263,12 @@ TEST(Sparse, DotAbsoluteAndDeltaAgree)
     }
     ASSERT_GT(delta_idx.size(), abs_idx.size()); // the 555->1999 gap split
 
-    const float a = sparse::dot(abs_val.data(), abs_idx.data(),
-                                abs_val.size(), w.data(), 0.5f,
-                                sparse::IndexMode::kAbsolute);
-    const float d = sparse::dot(delta_val.data(), delta_idx.data(),
-                                delta_val.size(), w.data(), 0.5f,
-                                sparse::IndexMode::kDelta);
+    const float a = SparseOps<std::uint32_t, std::int8_t, std::int8_t>::dot(
+        Impl::kReference, abs_val.data(), abs_idx.data(), abs_val.size(),
+        w.data(), 0.5f, sparse::IndexMode::kAbsolute);
+    const float d = SparseOps<std::uint8_t, std::int8_t, std::int8_t>::dot(
+        Impl::kReference, delta_val.data(), delta_idx.data(),
+        delta_val.size(), w.data(), 0.5f, sparse::IndexMode::kDelta);
     EXPECT_EQ(a, d);
 }
 
@@ -287,12 +288,17 @@ TEST(Sparse, DotMatchesDenseOnExpandedVector)
         dense_x[k] = v;
     }
     const float s = 1.0f / 1024.0f;
-    const float sp = sparse::dot(val.data(), idx.data(), val.size(),
-                                 w.data(), s, sparse::IndexMode::kAbsolute);
+    using Ops = SparseOps<std::uint16_t, std::int8_t, std::int16_t>;
+    const float sp = Ops::dot(Impl::kReference, val.data(), idx.data(),
+                              val.size(), w.data(), s,
+                              sparse::IndexMode::kAbsolute);
     const float dn = ref::dot_d8m16(dense_x.data(), w.data(), kModel, s);
     EXPECT_EQ(sp, dn);
-    const float un = sparse::dot_unrolled(val.data(), idx.data(), val.size(),
-                                          w.data(), s);
+    // The unrolled tier (registered under kAvx2) accumulates in int64
+    // too: bit-identical.
+    const float un = Ops::dot(Impl::kAvx2, val.data(), idx.data(),
+                              val.size(), w.data(), s,
+                              sparse::IndexMode::kAbsolute);
     EXPECT_EQ(sp, un);
 }
 
@@ -305,8 +311,9 @@ TEST(Sparse, AxpyMatchesDenseUpdateOnTouchedCoordinates)
     std::vector<std::uint16_t> idx = {7, 70, 170, 299};
     const FixedScalar cs = make_scalar_d8m8(0.8f);
     const DitherBlock d = biased_fixed(kShiftD8M8);
-    sparse::axpy(w_sparse.data(), val.data(), idx.data(), val.size(), cs,
-                 0.0f, d, sparse::IndexMode::kAbsolute);
+    SparseOps<std::uint16_t, std::int8_t, std::int8_t>::axpy(
+        Impl::kReference, w_sparse.data(), val.data(), idx.data(),
+        val.size(), cs, 0.0f, d, sparse::IndexMode::kAbsolute);
     for (std::size_t k = 0, j = 0; k < kModel; ++k) {
         if (j < idx.size() && idx[j] == k) {
             EXPECT_EQ(w_sparse[k],
@@ -326,8 +333,9 @@ TEST(Sparse, AxpyFloatModelAndFloatValues)
     AlignedBuffer<float> w(kModel);
     std::vector<float> val = {0.5f, -0.25f};
     std::vector<std::uint8_t> idx = {10, 22}; // gaps: coords 10 and 32
-    sparse::axpy(w.data(), val.data(), idx.data(), val.size(), FixedScalar{},
-                 2.0f, biased_unit(), sparse::IndexMode::kDelta);
+    SparseOps<std::uint8_t>::axpy(Impl::kReference, w.data(), val.data(),
+                                  idx.data(), val.size(), 2.0f,
+                                  sparse::IndexMode::kDelta);
     EXPECT_FLOAT_EQ(w[10], 1.0f);
     EXPECT_FLOAT_EQ(w[32], -0.5f);
     for (std::size_t k = 0; k < kModel; ++k) {
@@ -341,8 +349,9 @@ TEST(Sparse, SixteenBitModelAxpyDeltaMode)
     std::vector<std::int16_t> val = {1000, -1000, 500};
     std::vector<std::uint8_t> gaps = {5, 10, 10}; // coords 5, 15, 25
     const FixedScalar cs = make_scalar_d16m16(1.0f);
-    sparse::axpy(w.data(), val.data(), gaps.data(), val.size(), cs, 0.0f,
-                 biased_fixed(kShiftD16M16), sparse::IndexMode::kDelta);
+    SparseOps<std::uint8_t, std::int16_t, std::int16_t>::axpy(
+        Impl::kReference, w.data(), val.data(), gaps.data(), val.size(), cs,
+        0.0f, biased_fixed(kShiftD16M16), sparse::IndexMode::kDelta);
     EXPECT_EQ(w[5], 1000);
     EXPECT_EQ(w[15], -1000);
     EXPECT_EQ(w[25], 500);
@@ -362,8 +371,9 @@ TEST(Sparse, GatherDotMatchesScalar)
         for (std::size_t j = 0; j < nnz; ++j)
             idx[j] = gen() % kModel;
         const float scalar =
-            sparse::dot(val.data(), idx.data(), nnz, w.data(), 0.01f,
-                        sparse::IndexMode::kAbsolute);
+            SparseOps<std::uint32_t, std::int8_t, float>::dot(
+                Impl::kReference, val.data(), idx.data(), nnz, w.data(),
+                0.01f, sparse::IndexMode::kAbsolute);
         const float gather = sparse::dot_gather_d8mf(
             val.data(), idx.data(), nnz, w.data(), 0.01f);
         EXPECT_NEAR(scalar, gather,

@@ -200,8 +200,9 @@ TEST_P(KernelFuzz, SparseAxpyMatchesScalarReplay)
         const FixedScalar cs = make_scalar_d8m8(fuzz.coefficient(1.5f));
         const DitherBlock d = fuzz.dither();
 
-        sparse::axpy(w.data(), val.data(), idx.data(), nnz, cs, 0.0f, d,
-                     sparse::IndexMode::kAbsolute);
+        SparseOps<std::uint16_t, std::int8_t, std::int8_t>::axpy(
+            Impl::kReference, w.data(), val.data(), idx.data(), nnz, cs,
+            0.0f, d, sparse::IndexMode::kAbsolute);
         // Scalar replay (duplicate indices must apply sequentially).
         for (std::size_t j = 0; j < nnz; ++j)
             w_expect[idx[j]] = ref::update_m8(
