@@ -28,73 +28,205 @@ namespace buckwild::ps {
 
 namespace {
 
-/// Pulls every shard's slice into the local model replica. Slices may
+/// Copies shard s's slice out of a kModel reply into the full model.
+void
+place_slice(const Message& reply, std::size_t shards, std::size_t s,
+            std::vector<float>& model)
+{
+    const std::size_t begin = slice_begin(model.size(), shards, s);
+    if (reply.weights.size() != slice_end(model.size(), shards, s) - begin)
+        fatal("pull reply does not match the shard slice");
+    std::copy(reply.weights.begin(), reply.weights.end(),
+              model.begin() + static_cast<std::ptrdiff_t>(begin));
+}
+
+Message
+pull_request(std::uint32_t worker)
+{
+    Message pull;
+    pull.kind = Message::Kind::kPull;
+    pull.worker = worker;
+    return pull;
+}
+
+/// Pulls every shard's slice into `model` in one call_all. Slices may
 /// sit at different versions — that inconsistency is the asynchrony the
 /// C-term error feedback has to absorb.
 void
-pull_model(RpcClient& rpc, const ClusterConfig& config, std::size_t dim,
-           std::size_t worker, std::vector<float>& model)
+pull_model(RpcClient& rpc, std::size_t shards, std::uint32_t worker,
+           std::vector<float>& model)
 {
-    for (std::size_t s = 0; s < config.shards; ++s) {
-        Message pull;
-        pull.kind = Message::Kind::kPull;
-        pull.worker = static_cast<std::uint32_t>(worker);
-        const Message reply = rpc.call(s, std::move(pull));
-        std::copy(reply.weights.begin(), reply.weights.end(),
-                  model.begin() + static_cast<std::ptrdiff_t>(slice_begin(
-                                      dim, config.shards, s)));
+    const std::vector<Message> replies =
+        call_shards(rpc, shards, pull_request(worker));
+    for (std::size_t s = 0; s < shards; ++s)
+        place_slice(replies[s], shards, s, model);
+}
+
+/// Re-sends a push the SSP gate nacked, backing off between tries, until
+/// shard `s` accepts it; returns the accepted ack's version.
+std::uint64_t
+push_with_backoff(RpcClient& rpc, std::size_t s, const Message& push)
+{
+    for (;;) {
+        std::this_thread::sleep_for(std::chrono::microseconds(100));
+        const Message ack = rpc.call(s, push);
+        if (ack.accepted) return ack.version;
     }
 }
 
-/// Pushes one wire gradient to shard `s`, backing off and retrying while
-/// the SSP gate nacks it. Time spent bounced lands in the ssp_wait hop
-/// histogram.
-void
-push_with_backoff(RpcClient& rpc, std::size_t s, std::size_t worker,
-                  std::uint64_t round, const WireGradient& wire,
-                  obs::Histo& hop_ssp_wait)
+/// A worker-side round hop, ps.hop_seconds{hop=`hop`}. With the
+/// minibatch time (ps.worker.seconds), encode + exchange + ssp_wait add
+/// up to the round: each is the lap from the end of the one before.
+obs::Histo&
+hop_histogram(const char* hop)
 {
-    Stopwatch gate_clock;
-    bool gated = false;
-    for (;;) {
+    return obs::MetricsRegistry::global().histogram(
+        obs::labeled("ps.hop_seconds", {{"hop", hop}}));
+}
+
+/// Seconds since `mark`, moving `mark` to now.
+double
+lap(std::chrono::steady_clock::time_point& mark)
+{
+    const auto now = std::chrono::steady_clock::now();
+    const double seconds = std::chrono::duration<double>(now - mark).count();
+    mark = now;
+    return seconds;
+}
+
+/**
+ * One round's traffic: a single call_all carrying push_s then pull_s
+ * for every shard s (no pulls when `model` is null — the last round).
+ * A shard's mailbox is FIFO, so pull_s normally returns the slice with
+ * this push applied. The invariant that makes it unconditional: a pull
+ * reply whose version is below the push ack's version was served
+ * before the push was applied (reordered, or the push was dropped and
+ * retransmitted, or gated), so that shard is pulled again — the next
+ * round's model always holds this worker's own last push. Returns the
+ * seconds spent backing off the SSP gate (each wait also lands in
+ * `ssp_wait`).
+ */
+double
+exchange_round(RpcClient& rpc, std::size_t shards, std::uint32_t worker,
+               std::uint64_t round, std::vector<WireGradient>& wires,
+               std::vector<float>* model, obs::Histo& ssp_wait)
+{
+    const std::size_t per_shard = model != nullptr ? 2 : 1;
+    std::vector<std::size_t> to;
+    std::vector<Message> requests;
+    to.reserve(shards * per_shard);
+    requests.reserve(shards * per_shard);
+    for (std::size_t s = 0; s < shards; ++s) {
         Message push;
         push.kind = Message::Kind::kPush;
-        push.worker = static_cast<std::uint32_t>(worker);
+        push.worker = worker;
         push.clock = round;
-        push.gradient = wire;
-        const Message ack = rpc.call(s, std::move(push));
-        if (ack.accepted) {
-            if (gated) hop_ssp_wait.record(gate_clock.seconds());
-            return;
-        }
-        if (!gated) {
-            gated = true;
-            gate_clock = Stopwatch();
-        }
-        std::this_thread::sleep_for(std::chrono::microseconds(100));
+        push.gradient = std::move(wires[s]);
+        to.push_back(s);
+        requests.push_back(std::move(push));
+        if (model == nullptr) continue;
+        to.push_back(s);
+        requests.push_back(pull_request(worker));
     }
+    const std::vector<Message> replies = rpc.call_all(to, requests);
+
+    double waited = 0.0;
+    for (std::size_t s = 0; s < shards; ++s) {
+        const Message& ack = replies[s * per_shard];
+        std::uint64_t version = ack.version;
+        if (!ack.accepted) {
+            // This worker ran too far ahead: back off alone until the
+            // slow workers' pushes open the shard's gate.
+            Stopwatch gate_clock;
+            version = push_with_backoff(rpc, s, requests[s * per_shard]);
+            const double seconds = gate_clock.seconds();
+            ssp_wait.record(seconds);
+            waited += seconds;
+        }
+        if (model == nullptr) continue;
+        const Message& slice = replies[s * per_shard + 1];
+        if (slice.version >= version) {
+            place_slice(slice, shards, s, *model);
+            continue;
+        }
+        place_slice(rpc.call(s, pull_request(worker)), shards, s, *model);
+    }
+    return waited;
 }
 
-/// Leaves the SSP gate so the remaining workers are not held to this
-/// worker's final clock.
-void
-retire_worker(RpcClient& rpc, const ClusterConfig& config,
-              std::size_t worker)
+/**
+ * The round loop both workloads share: pull once, then per round
+ * `minibatch(round)` computes the gradient (returning the numbers it
+ * touched), `encode(wires, stats)` quantizes shard s's slice into
+ * wires[s], and one exchange pushes them all and pulls the next model.
+ */
+template <typename Minibatch, typename Encode>
+WorkerStats
+run_rounds(const ClusterConfig& config, std::size_t worker,
+           Transport& transport, std::atomic<std::uint64_t>* rounds_done,
+           std::vector<float>& model, Minibatch&& minibatch,
+           Encode&& encode)
 {
-    for (std::size_t s = 0; s < config.shards; ++s) {
-        Message retire;
-        retire.kind = Message::Kind::kRetire;
-        retire.worker = static_cast<std::uint32_t>(worker);
-        rpc.call(s, std::move(retire));
-    }
-}
+    Stopwatch clock;
+    WorkerStats stats;
+    RpcClient rpc(transport, worker_endpoint_of(config, worker));
+    obs::Histo& hop_encode = hop_histogram("encode");
+    obs::Histo& hop_exchange = hop_histogram("exchange");
+    obs::Histo& hop_ssp_wait = hop_histogram("ssp_wait");
+    const auto id = static_cast<std::uint32_t>(worker);
+    std::vector<WireGradient> wires(config.shards);
 
-obs::Histo&
-ssp_wait_histogram()
-{
-    static obs::Histo& histo = obs::MetricsRegistry::global().histogram(
-        obs::labeled("ps.hop_seconds", {{"hop", "ssp_wait"}}));
-    return histo;
+    pull_model(rpc, config.shards, id, model);
+    for (std::uint64_t round = 1; round <= config.rounds; ++round) {
+        BUCKWILD_OBS_SPAN("ps", "worker.round");
+        [[maybe_unused]] const auto round_start =
+            std::chrono::steady_clock::now();
+        auto mark = round_start;
+        [[maybe_unused]] double numbers = 0.0;
+        {
+            BUCKWILD_OBS_SPAN("ps", "worker.minibatch");
+            numbers = minibatch(round);
+        }
+        [[maybe_unused]] const double minibatch_seconds = lap(mark);
+        // Cumulative GNPS inputs for the live conformance watchdog:
+        // numbers touched / seconds busy in compute.
+        BUCKWILD_OBS_GAUGE_ADD("ps.worker.numbers", numbers);
+        BUCKWILD_OBS_GAUGE_ADD("ps.worker.seconds", minibatch_seconds);
+        {
+            BUCKWILD_OBS_SPAN("ps", "worker.encode");
+            encode(wires, stats);
+        }
+        for (const WireGradient& wire : wires) {
+            stats.encoded_bytes += wire.wire_bytes();
+            BUCKWILD_OBS_COUNT("ps.worker.encoded_bytes", wire.wire_bytes());
+        }
+        hop_encode.record(lap(mark));
+        double waited = 0.0;
+        {
+            BUCKWILD_OBS_SPAN("ps", "worker.exchange");
+            waited = exchange_round(rpc, config.shards, id, round, wires,
+                                    round < config.rounds ? &model : nullptr,
+                                    hop_ssp_wait);
+        }
+        hop_exchange.record(lap(mark) - waited);
+        BUCKWILD_OBS_HISTO(
+            "ps.worker.round_seconds",
+            std::chrono::duration<double>(mark - round_start).count());
+        ++stats.rounds;
+        if (rounds_done != nullptr)
+            rounds_done->fetch_add(1, std::memory_order_acq_rel);
+    }
+
+    // Leave the SSP gate so the remaining workers are not held to this
+    // worker's final clock.
+    Message retire;
+    retire.kind = Message::Kind::kRetire;
+    retire.worker = id;
+    call_shards(rpc, config.shards, retire);
+
+    stats.seconds = clock.seconds();
+    stats.retries = rpc.retries();
+    return stats;
 }
 
 } // namespace
@@ -105,12 +237,9 @@ run_worker_rounds(const ClusterConfig& config,
                   Transport& transport,
                   std::atomic<std::uint64_t>* rounds_done)
 {
-    Stopwatch clock;
-    WorkerStats stats;
     const std::size_t dim = problem.dim;
     const std::size_t shards = config.shards;
     const std::size_t workers = config.workers;
-    RpcClient rpc(transport, worker_endpoint_of(config, worker));
 
     // Worker w trains on its own contiguous slice of the examples —
     // the data-parallel D partition — cycling through it in
@@ -133,68 +262,38 @@ run_worker_rounds(const ClusterConfig& config,
         0xC5C0DEull + static_cast<std::uint64_t>(worker);
     rng::Xorshift128Plus codec_rng(rng::splitmix64(seed_state));
 
-    for (std::uint64_t round = 1; round <= config.rounds; ++round) {
-        BUCKWILD_OBS_SPAN("ps", "worker.round");
-        Stopwatch round_clock;
-        pull_model(rpc, config, dim, worker, model);
-
-        {
-            // Mini-batch gradient on this worker's data slice.
-            BUCKWILD_OBS_SPAN("ps", "worker.minibatch");
-            Stopwatch minibatch_clock;
-            using Ops = simd::DenseOps<float, float>;
-            std::fill(gradient.begin(), gradient.end(), 0.0f);
-            for (std::size_t b = 0; b < config.batch; ++b) {
-                const std::size_t i =
-                    ex_begin + ((round - 1) * config.batch + b) % ex_count;
-                const float* x = problem.row(i);
-                const float z =
-                    Ops::dot(config.impl, x, model.data(), dim, 1.0f, 1.0f);
-                const float g = core::loss_gradient_coefficient(
-                    config.loss, z, problem.y[i]);
-                if (g == 0.0f) continue;
-                Ops::axpy(config.impl, gradient.data(), x, dim, g, 1.0f,
-                          1.0f, simd::biased_unit());
-            }
-            if (feedback)
-                Ops::axpy(config.impl, gradient.data(), residual.data(), dim,
-                          1.0f, 1.0f, 1.0f, simd::biased_unit());
-            // Cumulative GNPS inputs for the live conformance
-            // watchdog: numbers touched / seconds busy in compute.
-            BUCKWILD_OBS_GAUGE_ADD("ps.worker.numbers",
-                                   static_cast<double>(config.batch) *
-                                       static_cast<double>(dim));
-            BUCKWILD_OBS_GAUGE_ADD("ps.worker.seconds",
-                                   minibatch_clock.seconds());
+    const auto minibatch = [&](std::uint64_t round) {
+        // Mini-batch gradient on this worker's data slice.
+        using Ops = simd::DenseOps<float, float>;
+        std::fill(gradient.begin(), gradient.end(), 0.0f);
+        for (std::size_t b = 0; b < config.batch; ++b) {
+            const std::size_t i =
+                ex_begin + ((round - 1) * config.batch + b) % ex_count;
+            const float* x = problem.row(i);
+            const float z =
+                Ops::dot(config.impl, x, model.data(), dim, 1.0f, 1.0f);
+            const float g = core::loss_gradient_coefficient(
+                config.loss, z, problem.y[i]);
+            if (g == 0.0f) continue;
+            Ops::axpy(config.impl, gradient.data(), x, dim, g, 1.0f, 1.0f,
+                      simd::biased_unit());
         }
-
-        // Quantize and push each shard's slice; a staleness-gated
-        // nack means this worker ran too far ahead — back off and
-        // retry (the shard's gate opens as the slow workers apply).
+        if (feedback)
+            Ops::axpy(config.impl, gradient.data(), residual.data(), dim,
+                      1.0f, 1.0f, 1.0f, simd::biased_unit());
+        return static_cast<double>(config.batch) * static_cast<double>(dim);
+    };
+    const auto encode = [&](std::vector<WireGradient>& wires, WorkerStats&) {
         for (std::size_t s = 0; s < shards; ++s) {
             const std::size_t begin = slice_begin(dim, shards, s);
-            const WireGradient wire = encode_gradient(
-                gradient.data() + begin,
-                slice_end(dim, shards, s) - begin, config.codec,
-                feedback ? residual.data() + begin : nullptr, &codec_rng);
-            stats.encoded_bytes += wire.wire_bytes();
-            BUCKWILD_OBS_COUNT("ps.worker.encoded_bytes",
-                               wire.wire_bytes());
-            push_with_backoff(rpc, s, worker, round, wire,
-                              ssp_wait_histogram());
+            wires[s] = encode_gradient(
+                gradient.data() + begin, slice_end(dim, shards, s) - begin,
+                config.codec, feedback ? residual.data() + begin : nullptr,
+                &codec_rng);
         }
-        ++stats.rounds;
-        if (rounds_done != nullptr)
-            rounds_done->fetch_add(1, std::memory_order_acq_rel);
-        BUCKWILD_OBS_HISTO("ps.worker.round_seconds",
-                           round_clock.seconds());
-    }
-
-    retire_worker(rpc, config, worker);
-
-    stats.seconds = clock.seconds();
-    stats.retries = rpc.retries();
-    return stats;
+    };
+    return run_rounds(config, worker, transport, rounds_done, model,
+                      minibatch, encode);
 }
 
 WorkerStats
@@ -203,12 +302,9 @@ run_worker_rounds(const ClusterConfig& config,
                   Transport& transport,
                   std::atomic<std::uint64_t>* rounds_done)
 {
-    Stopwatch clock;
-    WorkerStats stats;
     const std::size_t dim = problem.dim;
     const std::size_t shards = config.shards;
     const std::size_t workers = config.workers;
-    RpcClient rpc(transport, worker_endpoint_of(config, worker));
 
     const std::size_t ex_begin = worker * problem.examples() / workers;
     const std::size_t ex_end = (worker + 1) * problem.examples() / workers;
@@ -220,10 +316,12 @@ run_worker_rounds(const ClusterConfig& config,
     std::vector<float> acc(dim, 0.0f);
     std::vector<std::uint8_t> in_support(dim, 0);
     std::vector<std::uint32_t> touched;
+    // touched[0, carried) is the carried residual's support, ascending.
+    std::size_t carried = 0;
     const bool feedback =
         config.error_feedback && config.codec.kind != CodecKind::kDense;
     // The error-feedback residual is itself sparse: the coordinates the
-    // worker has pushed with nonzero untransmitted remainder.
+    // worker has pushed with nonzero untransmitted remainder, ascending.
     std::vector<std::uint32_t> residual_index;
     std::vector<float> residual_value;
     std::vector<std::uint32_t> next_residual_index;
@@ -237,55 +335,53 @@ run_worker_rounds(const ClusterConfig& config,
     std::vector<float> slice_value;
     std::vector<float> slice_residual;
 
-    for (std::uint64_t round = 1; round <= config.rounds; ++round) {
-        BUCKWILD_OBS_SPAN("ps", "worker.round");
-        Stopwatch round_clock;
-        pull_model(rpc, config, dim, worker, model);
-
-        std::size_t batch_numbers = 0;
-        {
-            // Mini-batch gradient over only the touched coordinates.
-            BUCKWILD_OBS_SPAN("ps", "worker.minibatch");
-            Stopwatch minibatch_clock;
-            using Ops = simd::SparseOps<std::uint32_t>;
-            constexpr auto kAbsolute = simd::sparse::IndexMode::kAbsolute;
-            const auto join_support = [&](const std::uint32_t* index,
-                                          std::size_t count) {
-                for (std::size_t j = 0; j < count; ++j)
-                    if (!in_support[index[j]]) {
-                        in_support[index[j]] = 1;
-                        touched.push_back(index[j]);
-                    }
-            };
-            for (std::size_t b = 0; b < config.batch; ++b) {
-                const std::size_t i =
-                    ex_begin + ((round - 1) * config.batch + b) % ex_count;
-                const dataset::SparseRow& x = problem.rows[i];
-                const std::size_t nnz = x.value.size();
-                batch_numbers += nnz;
-                const float z =
-                    Ops::dot(config.impl, x.value.data(), x.index.data(),
-                             nnz, model.data(), 1.0f, kAbsolute);
-                const float g = core::loss_gradient_coefficient(
-                    config.loss, z, problem.y[i]);
-                if (g == 0.0f) continue;
-                join_support(x.index.data(), nnz);
-                Ops::axpy(config.impl, acc.data(), x.value.data(),
-                          x.index.data(), nnz, g, kAbsolute);
+    const auto join_support = [&](const std::uint32_t* index,
+                                  std::size_t count) {
+        for (std::size_t j = 0; j < count; ++j)
+            if (!in_support[index[j]]) {
+                in_support[index[j]] = 1;
+                touched.push_back(index[j]);
             }
-            // Carried residual joins the round's support (a coordinate
-            // with pending feedback is pushed even if this minibatch
-            // missed it).
-            join_support(residual_index.data(), residual_index.size());
-            Ops::axpy(config.impl, acc.data(), residual_value.data(),
-                      residual_index.data(), residual_index.size(), 1.0f,
-                      kAbsolute);
-            BUCKWILD_OBS_GAUGE_ADD("ps.worker.numbers",
-                                   static_cast<double>(batch_numbers));
-            BUCKWILD_OBS_GAUGE_ADD("ps.worker.seconds",
-                                   minibatch_clock.seconds());
+    };
+    const auto minibatch = [&](std::uint64_t round) {
+        // Mini-batch gradient over only the touched coordinates. The
+        // carried residual joins the support first (a coordinate with
+        // pending feedback is pushed even if this minibatch missed it);
+        // its AXPY still comes last, after the examples'.
+        using Ops = simd::SparseOps<std::uint32_t>;
+        constexpr auto kAbsolute = simd::sparse::IndexMode::kAbsolute;
+        join_support(residual_index.data(), residual_index.size());
+        carried = touched.size();
+        std::size_t batch_numbers = 0;
+        for (std::size_t b = 0; b < config.batch; ++b) {
+            const std::size_t i =
+                ex_begin + ((round - 1) * config.batch + b) % ex_count;
+            const dataset::SparseRow& x = problem.rows[i];
+            const std::size_t nnz = x.value.size();
+            batch_numbers += nnz;
+            const float z =
+                Ops::dot(config.impl, x.value.data(), x.index.data(), nnz,
+                         model.data(), 1.0f, kAbsolute);
+            const float g = core::loss_gradient_coefficient(
+                config.loss, z, problem.y[i]);
+            if (g == 0.0f) continue;
+            join_support(x.index.data(), nnz);
+            Ops::axpy(config.impl, acc.data(), x.value.data(),
+                      x.index.data(), nnz, g, kAbsolute);
         }
-        std::sort(touched.begin(), touched.end());
+        Ops::axpy(config.impl, acc.data(), residual_value.data(),
+                  residual_index.data(), residual_index.size(), 1.0f,
+                  kAbsolute);
+        return static_cast<double>(batch_numbers);
+    };
+    const auto encode = [&](std::vector<WireGradient>& wires,
+                            WorkerStats& stats) {
+        // Under error feedback the carried support fills most of the
+        // dimension; only this minibatch's new coordinates need a sort,
+        // then one merge orders the whole support in O(touched).
+        const auto mid = touched.begin() + static_cast<std::ptrdiff_t>(carried);
+        std::sort(mid, touched.end());
+        std::inplace_merge(touched.begin(), mid, touched.end());
 
         // Per-range nnz split: each shard gets the (slice-local) run of
         // touched coordinates inside its range — an empty run still
@@ -312,13 +408,10 @@ run_worker_rounds(const ClusterConfig& config,
                     slice_value.data(), slice_index.data(), nnz,
                     static_cast<std::uint32_t>(end - begin),
                     simd::sparse::IndexMode::kAbsolute);
-            const WireGradient wire = encode_sparse_gradient(
+            wires[s] = encode_sparse_gradient(
                 view, config.codec,
                 feedback ? slice_residual.data() : nullptr, &codec_rng);
-            stats.encoded_bytes += wire.wire_bytes();
             stats.encoded_nnz += nnz;
-            BUCKWILD_OBS_COUNT("ps.worker.encoded_bytes",
-                               wire.wire_bytes());
             if (feedback)
                 for (std::size_t j = 0; j < nnz; ++j)
                     if (slice_residual[j] != 0.0f) {
@@ -327,8 +420,6 @@ run_worker_rounds(const ClusterConfig& config,
                             slice_index[j]);
                         next_residual_value.push_back(slice_residual[j]);
                     }
-            push_with_backoff(rpc, s, worker, round, wire,
-                              ssp_wait_histogram());
             lo = hi;
         }
         residual_index.swap(next_residual_index);
@@ -340,19 +431,9 @@ run_worker_rounds(const ClusterConfig& config,
             in_support[k] = 0;
         }
         touched.clear();
-
-        ++stats.rounds;
-        if (rounds_done != nullptr)
-            rounds_done->fetch_add(1, std::memory_order_acq_rel);
-        BUCKWILD_OBS_HISTO("ps.worker.round_seconds",
-                           round_clock.seconds());
-    }
-
-    retire_worker(rpc, config, worker);
-
-    stats.seconds = clock.seconds();
-    stats.retries = rpc.retries();
-    return stats;
+    };
+    return run_rounds(config, worker, transport, rounds_done, model,
+                      minibatch, encode);
 }
 
 // ------------------------------------------------------- node roles
@@ -467,42 +548,27 @@ std::vector<float>
 ControlClient::snapshot(std::size_t dim)
 {
     std::vector<float> model(dim);
-    for (std::size_t s = 0; s < config_.shards; ++s) {
-        Message pull;
-        pull.kind = Message::Kind::kPull;
-        const Message reply = rpc_.call(s, std::move(pull));
-        if (reply.weights.size() !=
-            slice_end(dim, config_.shards, s) -
-                slice_begin(dim, config_.shards, s))
-            fatal("pull reply does not match the shard slice");
-        std::copy(reply.weights.begin(), reply.weights.end(),
-                  model.begin() + static_cast<std::ptrdiff_t>(
-                                      slice_begin(dim, config_.shards, s)));
-    }
+    pull_model(rpc_, config_.shards, 0, model);
     return model;
 }
 
 std::vector<ShardMetrics>
 ControlClient::stats()
 {
+    Message request;
+    request.kind = Message::Kind::kStats;
     std::vector<ShardMetrics> all;
-    for (std::size_t s = 0; s < config_.shards; ++s) {
-        Message request;
-        request.kind = Message::Kind::kStats;
-        const Message reply = rpc_.call(s, std::move(request));
+    for (const Message& reply : call_shards(rpc_, config_.shards, request))
         all.push_back(shard_metrics_from_stats(reply.stats));
-    }
     return all;
 }
 
 void
 ControlClient::shutdown()
 {
-    for (std::size_t s = 0; s < config_.shards; ++s) {
-        Message request;
-        request.kind = Message::Kind::kShutdown;
-        rpc_.call(s, std::move(request));
-    }
+    Message request;
+    request.kind = Message::Kind::kShutdown;
+    call_shards(rpc_, config_.shards, request);
 }
 
 // --------------------------------------------------------- assembly

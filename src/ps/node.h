@@ -101,10 +101,12 @@ struct WorkerStats
 };
 
 /**
- * Runs worker `worker`'s full training loop (pull, mini-batch gradient,
- * error feedback, encode per shard slice, push with SSP-nack backoff,
- * retire) over `transport` — any fabric. Increments `*rounds_done`
- * (when non-null) after each round, for an external publisher loop.
+ * Runs worker `worker`'s full training loop over `transport` — any
+ * fabric: one pull of every slice, then per round a mini-batch
+ * gradient, error feedback, an encode per shard slice and one
+ * push+pull exchange with every shard (SSP-nacked pushes back off
+ * alone), then retire. Increments `*rounds_done` (when non-null) after
+ * each round, for an external publisher loop.
  */
 WorkerStats run_worker_rounds(const ClusterConfig& config,
                               const dataset::DenseProblem& problem,

@@ -97,11 +97,13 @@ ParameterServer::snapshot()
         panic("snapshot needs a running parameter server");
     const std::size_t control = config_.shards + config_.workers;
     RpcClient rpc(transport_, control);
+    Message pull;
+    pull.kind = Message::Kind::kPull;
+    const std::vector<Message> replies =
+        call_shards(rpc, shards_.size(), pull);
     std::vector<float> model(dim_);
     for (std::size_t s = 0; s < shards_.size(); ++s) {
-        Message pull;
-        pull.kind = Message::Kind::kPull;
-        const Message reply = rpc.call(s, std::move(pull));
+        const Message& reply = replies[s];
         if (reply.weights.size() != shard_end(s) - shard_begin(s))
             panic("pull reply does not match the shard slice");
         std::copy(reply.weights.begin(), reply.weights.end(),

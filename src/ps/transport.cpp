@@ -1,5 +1,6 @@
 #include "ps/transport.h"
 
+#include <algorithm>
 #include <thread>
 
 #include "obs/obs.h"
@@ -128,20 +129,20 @@ InProcTransport::close()
 
 // ------------------------------------------------------------- RpcClient
 
-Message
-RpcClient::call(std::size_t to, Message request)
+std::vector<Message>
+RpcClient::call_all(const std::vector<std::size_t>& to,
+                    const std::vector<Message>& requests)
 {
-    request.sender = static_cast<std::uint32_t>(self_);
-    request.token = next_token_++;
-
-    // Mint the distributed-trace identity at the RPC origin. The root
-    // context (or one the caller pre-attached) rides the wire with each
-    // attempt; the responder's spans and the clock-offset sample from
-    // its reply all carry the same trace id.
-    if (obs::Tracer::global().enabled() && !request.trace.ctx.valid())
-        request.trace.ctx = obs::make_root_context();
-    const std::int64_t call_start_ns =
-        request.trace.ctx.valid() ? obs::trace_now_ns() : 0;
+    using Clock = std::chrono::steady_clock;
+    if (to.size() != requests.size())
+        panic("rpc: call_all needs one endpoint per request");
+    const std::size_t n = requests.size();
+    std::vector<Message> replies(n);
+    // Tokens [first_token, first_token + n) belong to this call, so a
+    // reply maps to its request by subtraction; anything outside the
+    // range is a leftover of an earlier call.
+    const std::uint64_t first_token = next_token_;
+    next_token_ += n;
 
     // The per-attempt reply timeout must comfortably exceed both the
     // fabric's latency floor and the injected jitter (both directions),
@@ -151,57 +152,117 @@ RpcClient::call(std::size_t to, Message request)
         std::chrono::microseconds(8 * transport_.faults().jitter_us));
     constexpr int kMaxAttempts = 400;
 
-    for (int attempt = 0; attempt < kMaxAttempts; ++attempt) {
-        if (attempt > 0) {
+    struct InFlight
+    {
+        int attempts = 0;
+        Clock::time_point deadline;
+        obs::TraceContext ctx;     ///< rides every attempt
+        std::int64_t start_ns = 0; ///< rpc.call span start (traced only)
+        bool answered = false;
+    };
+    std::vector<InFlight> flight(n);
+
+    const auto transmit = [&](std::size_t i) {
+        InFlight& f = flight[i];
+        if (f.attempts == kMaxAttempts)
+            fatal("rpc: no reply after " + std::to_string(kMaxAttempts) +
+                  " attempts (drop_prob too high or peer gone)");
+        if (f.attempts > 0) {
             ++retries_;
             BUCKWILD_OBS_COUNT("ps.rpc.retransmits", 1);
             BUCKWILD_OBS_INSTANT("ps", "rpc.retransmit");
         }
-        Message copy = request;
+        Message copy = requests[i];
+        copy.sender = static_cast<std::uint32_t>(self_);
+        copy.token = first_token + i;
+        copy.trace.ctx = f.ctx;
         // Stamp per attempt: the responder echoes the send_ts of the
         // transmission it actually answered, keeping the NTP sample
         // honest across retransmits.
         if (copy.trace.ctx.valid())
             copy.trace.send_ts_ns = obs::trace_now_ns();
-        transport_.send(to, std::move(copy));
+        transport_.send(to[i], std::move(copy));
+        f.deadline = Clock::now() +
+                     base * (f.attempts < 8 ? (1 << f.attempts) : 256);
+        ++f.attempts;
+    };
 
-        const auto deadline = std::chrono::steady_clock::now() +
-            base * (attempt < 8 ? (1 << attempt) : 256);
-        for (;;) {
-            const auto now = std::chrono::steady_clock::now();
-            if (now >= deadline) break; // retransmit
-            Message reply;
-            if (!transport_.recv(
-                    self_, reply,
-                    std::chrono::duration_cast<std::chrono::microseconds>(
-                        deadline - now))) {
-                if (transport_.closed())
-                    fatal("rpc: transport closed mid-call");
-                break; // timeout: retransmit
-            }
-            if (reply.token == request.token) {
-                if (reply.trace.ctx.valid()) {
-                    const std::int64_t recv_ns = reply.recv_ts_ns != 0
-                                                     ? reply.recv_ts_ns
-                                                     : obs::trace_now_ns();
-                    const obs::ClockSample sample =
-                        obs::clock_sample_from_reply(reply.trace, recv_ns);
-                    if (sample.valid)
-                        obs::Tracer::global().clocksync(
-                            "ps", reply.trace.ctx, sample.offset_ns,
-                            sample.rtt_ns);
-                    obs::Tracer::global().complete(
-                        "ps", "rpc.call", call_start_ns,
-                        obs::trace_now_ns() - call_start_ns,
-                        request.trace.ctx);
-                }
-                return reply;
-            }
-            // Stale duplicate from an earlier retransmission: discard.
-        }
+    const bool tracing = obs::Tracer::global().enabled();
+    for (std::size_t i = 0; i < n; ++i) {
+        // Mint the distributed-trace identity at the RPC origin. The
+        // root context (or one the caller pre-attached) rides the wire
+        // with each attempt; the responder's spans and the clock-offset
+        // sample from its reply all carry the same trace id.
+        InFlight& f = flight[i];
+        f.ctx = requests[i].trace.ctx;
+        if (tracing && !f.ctx.valid()) f.ctx = obs::make_root_context();
+        if (f.ctx.valid()) f.start_ns = obs::trace_now_ns();
+        transmit(i);
     }
-    fatal("rpc: no reply after " + std::to_string(kMaxAttempts) +
-          " attempts (drop_prob too high or peer gone)");
+
+    std::size_t outstanding = n;
+    while (outstanding > 0) {
+        // Retransmit every request whose reply deadline passed; wait
+        // for the next reply no longer than the earliest deadline left.
+        Clock::time_point next = Clock::time_point::max();
+        for (std::size_t i = 0; i < n; ++i) {
+            if (flight[i].answered) continue;
+            if (flight[i].deadline <= Clock::now()) transmit(i);
+            next = std::min(next, flight[i].deadline);
+        }
+        const auto wait = std::chrono::duration_cast<std::chrono::microseconds>(
+            next - Clock::now());
+        Message reply;
+        if (!transport_.recv(self_, reply,
+                             std::max(wait, std::chrono::microseconds(0)))) {
+            if (transport_.closed())
+                fatal("rpc: transport closed mid-call");
+            continue; // a deadline passed: retransmit
+        }
+        // Stale duplicate of an answered request, or a late reply to an
+        // earlier call: discard.
+        if (reply.token < first_token || reply.token - first_token >= n)
+            continue;
+        const std::size_t i =
+            static_cast<std::size_t>(reply.token - first_token);
+        if (flight[i].answered) continue;
+        flight[i].answered = true;
+        --outstanding;
+        if (reply.trace.ctx.valid()) {
+            const std::int64_t recv_ns = reply.recv_ts_ns != 0
+                                             ? reply.recv_ts_ns
+                                             : obs::trace_now_ns();
+            const obs::ClockSample sample =
+                obs::clock_sample_from_reply(reply.trace, recv_ns);
+            if (sample.valid)
+                obs::Tracer::global().clocksync("ps", reply.trace.ctx,
+                                                sample.offset_ns,
+                                                sample.rtt_ns);
+            if (flight[i].start_ns != 0)
+                obs::Tracer::global().complete(
+                    "ps", "rpc.call", flight[i].start_ns,
+                    obs::trace_now_ns() - flight[i].start_ns,
+                    flight[i].ctx);
+        }
+        replies[i] = std::move(reply);
+    }
+    return replies;
+}
+
+Message
+RpcClient::call(std::size_t to, Message request)
+{
+    std::vector<Message> one(1);
+    one[0] = std::move(request);
+    return std::move(call_all({to}, one).front());
+}
+
+std::vector<Message>
+call_shards(RpcClient& rpc, std::size_t shards, const Message& request)
+{
+    std::vector<std::size_t> to(shards);
+    for (std::size_t s = 0; s < shards; ++s) to[s] = s;
+    return rpc.call_all(to, std::vector<Message>(shards, request));
 }
 
 } // namespace buckwild::ps

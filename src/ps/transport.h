@@ -233,10 +233,11 @@ class InProcTransport final : public Transport
 };
 
 /**
- * Request/reply over the unreliable fabric: sends, waits for the reply
- * carrying the request's token, and retransmits on timeout with capped
- * exponential backoff. One client per thread (it owns its endpoint's
- * recv side while a call is in flight).
+ * Request/reply over the unreliable fabric. call_all() sends a batch of
+ * requests at once and gathers their replies; every request keeps its
+ * own token, reply deadline and capped exponential backoff, so a drop
+ * retransmits only the request it hit. One client per thread (it owns
+ * its endpoint's recv side while a call is in flight).
  */
 class RpcClient
 {
@@ -246,12 +247,17 @@ class RpcClient
     {}
 
     /**
-     * Issues `request` to endpoint `to` and returns the matching reply.
-     * Stale replies (retransmission duplicates, reordered leftovers) are
+     * Issues `requests[i]` to endpoint `to[i]`, all in flight together,
+     * and returns the matching replies in request order. Stale replies
+     * (retransmission duplicates, leftovers of earlier calls) are
      * discarded by token.
-     * @throws std::runtime_error when the transport closes mid-call or
-     *         the retransmission cap is exhausted.
+     * @throws std::runtime_error when the transport closes mid-call or a
+     *         request exhausts its retransmission cap.
      */
+    std::vector<Message> call_all(const std::vector<std::size_t>& to,
+                                  const std::vector<Message>& requests);
+
+    /// call_all() of one request.
     Message call(std::size_t to, Message request);
 
     /// Retransmissions performed so far (drop-with-retry at work).
@@ -263,6 +269,11 @@ class RpcClient
     std::uint64_t next_token_ = 1;
     std::uint64_t retries_ = 0;
 };
+
+/// Sends a copy of `request` to every shard (endpoints [0, shards)) in
+/// one call_all(); the replies come back in shard order.
+std::vector<Message> call_shards(RpcClient& rpc, std::size_t shards,
+                                 const Message& request);
 
 } // namespace buckwild::ps
 

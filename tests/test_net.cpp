@@ -1121,6 +1121,66 @@ TEST(NetTransport, RpcRetriesThroughInjectedDrops)
     EXPECT_GT(rpc.retries(), 0u);
 }
 
+// ===================================================== NetRpc
+
+TEST(NetRpc, CallAllKeepsTwoShardsInFlight)
+{
+    // Two listening shard transports (endpoints 0 and 1) and a client
+    // (endpoint 2) with requests to both in flight at once: replies
+    // arrive on two reader threads in any order and still come back in
+    // request order.
+    std::unique_ptr<ps::SocketTransport> shards[2];
+    ps::SocketTransportConfig c;
+    c.endpoints = 3;
+    c.local = {2};
+    for (std::size_t s = 0; s < 2; ++s) {
+        ps::SocketTransportConfig cfg;
+        cfg.endpoints = 3;
+        cfg.local = {s};
+        cfg.listen = true;
+        shards[s] = std::make_unique<ps::SocketTransport>(std::move(cfg));
+        c.peers[s] = {"127.0.0.1", shards[s]->port()};
+    }
+    ps::SocketTransport client(std::move(c));
+
+    WorkerGroup echo;
+    echo.start(2, [&](std::size_t s) {
+        ps::Transport& transport = *shards[s];
+        ps::Message m;
+        for (;;) {
+            if (!transport.recv(s, m, std::chrono::microseconds(500))) {
+                if (transport.closed()) return;
+                continue;
+            }
+            ps::Message reply;
+            reply.kind = ps::Message::Kind::kAck;
+            reply.token = m.token;
+            reply.clock = m.clock;
+            reply.version = s;
+            transport.send(m.sender, std::move(reply));
+        }
+    });
+
+    ps::RpcClient rpc(client, 2);
+    const std::vector<std::size_t> to = {0, 0, 1, 1};
+    for (std::uint64_t c0 = 1; c0 <= 200; c0 += 4) {
+        std::vector<ps::Message> requests(4);
+        for (std::size_t i = 0; i < 4; ++i) {
+            requests[i].kind = ps::Message::Kind::kPull;
+            requests[i].clock = c0 + i;
+        }
+        const std::vector<ps::Message> replies = rpc.call_all(to, requests);
+        ASSERT_EQ(replies.size(), 4u);
+        for (std::size_t i = 0; i < 4; ++i) {
+            EXPECT_EQ(replies[i].clock, c0 + i);
+            EXPECT_EQ(replies[i].version, to[i]); // answered by its shard
+        }
+    }
+    client.close();
+    for (auto& shard : shards) shard->close();
+    echo.join();
+}
+
 TEST(NetTransport, PayloadsCrossTheSocketBitIdentically)
 {
     TransportPair pair;

@@ -20,11 +20,13 @@
 #include <algorithm>
 #include <atomic>
 #include <cmath>
+#include <map>
 #include <thread>
 #include <vector>
 
 #include "core/comm_sgd.h"
 #include "dataset/problem.h"
+#include "obs/obs.h"
 #include "ps/ps.h"
 #include "rng/xorshift.h"
 #include "serve/serve.h"
@@ -593,6 +595,35 @@ TEST(PsTransport, ReorderWindowDeliversEverythingOnce)
     EXPECT_FALSE(std::is_sorted(received.begin(), received.end()));
 }
 
+/// An echo peer at `endpoint`: every request is acked with its token
+/// and clock, until the transport closes.
+void
+echo_until_closed(ps::Transport& transport, std::size_t endpoint)
+{
+    ps::Message m;
+    for (;;) {
+        if (!transport.recv(endpoint, m, std::chrono::microseconds(500))) {
+            if (transport.closed()) return;
+            continue;
+        }
+        ps::Message reply;
+        reply.kind = ps::Message::Kind::kAck;
+        reply.token = m.token;
+        reply.clock = m.clock;
+        transport.send(m.sender, std::move(reply));
+    }
+}
+
+/// `count` requests, numbered by clock from `first_clock`.
+std::vector<ps::Message>
+numbered_requests(std::size_t count, std::uint64_t first_clock)
+{
+    std::vector<ps::Message> requests(count);
+    for (std::size_t i = 0; i < count; ++i)
+        requests[i].clock = first_clock + i;
+    return requests;
+}
+
 TEST(PsTransport, RpcRetriesThroughDrops)
 {
     ps::FaultModel faults;
@@ -600,22 +631,8 @@ TEST(PsTransport, RpcRetriesThroughDrops)
     faults.seed = 99;
     ps::InProcTransport transport(2, faults);
 
-    // An echo peer at endpoint 0: every request is acked with its token.
     WorkerGroup echo;
-    echo.start(1, [&](std::size_t) {
-        ps::Message m;
-        for (;;) {
-            if (!transport.recv(0, m, std::chrono::microseconds(500))) {
-                if (transport.closed()) return;
-                continue;
-            }
-            ps::Message reply;
-            reply.kind = ps::Message::Kind::kAck;
-            reply.token = m.token;
-            reply.clock = m.clock;
-            transport.send(m.sender, std::move(reply));
-        }
-    });
+    echo.start(1, [&](std::size_t) { echo_until_closed(transport, 0); });
 
     ps::RpcClient rpc(transport, 1);
     for (std::uint64_t c = 1; c <= 50; ++c) {
@@ -629,6 +646,105 @@ TEST(PsTransport, RpcRetriesThroughDrops)
     // A quarter of the traffic vanished; the protocol recovered all of it.
     EXPECT_GT(transport.dropped(), 0u);
     EXPECT_GT(rpc.retries(), 0u);
+}
+
+TEST(PsTransport, CallAllReturnsRepliesInRequestOrder)
+{
+    ps::InProcTransport transport(2);
+    // A peer that answers only once it holds the whole batch, and then
+    // in reverse order (a slow host may retransmit meanwhile: duplicates
+    // are held once, and echoed like any later request).
+    constexpr std::size_t kBatch = 5;
+    WorkerGroup peer;
+    peer.start(1, [&](std::size_t) {
+        std::map<std::uint64_t, ps::Message> held; // by token
+        ps::Message m;
+        while (held.size() < kBatch)
+            if (transport.recv(0, m, std::chrono::microseconds(1000)))
+                held.emplace(m.token, m);
+        for (auto it = held.rbegin(); it != held.rend(); ++it) {
+            ps::Message reply;
+            reply.kind = ps::Message::Kind::kAck;
+            reply.token = it->second.token;
+            reply.clock = it->second.clock;
+            transport.send(it->second.sender, std::move(reply));
+        }
+        echo_until_closed(transport, 0);
+    });
+    ps::RpcClient rpc(transport, 1);
+    const std::vector<ps::Message> replies = rpc.call_all(
+        std::vector<std::size_t>(kBatch, 0), numbered_requests(kBatch, 1));
+    transport.close();
+    peer.join();
+    ASSERT_EQ(replies.size(), kBatch);
+    for (std::size_t i = 0; i < kBatch; ++i)
+        EXPECT_EQ(replies[i].clock, i + 1);
+}
+
+TEST(PsTransport, CallAllRetriesEachRequestThroughDrops)
+{
+    ps::FaultModel faults;
+    faults.drop_prob = 0.25;
+    faults.seed = 7;
+    ps::InProcTransport transport(3, faults);
+    WorkerGroup echo;
+    echo.start(2, [&](std::size_t e) { echo_until_closed(transport, e); });
+
+    // Four requests in flight per call, split over two peers.
+    ps::RpcClient rpc(transport, 2);
+    const std::vector<std::size_t> to = {0, 1, 0, 1};
+    for (std::uint64_t c = 1; c <= 200; c += 4) {
+        const std::vector<ps::Message> replies =
+            rpc.call_all(to, numbered_requests(4, c));
+        ASSERT_EQ(replies.size(), 4u);
+        for (std::size_t i = 0; i < 4; ++i)
+            EXPECT_EQ(replies[i].clock, c + i); // its own reply, not stale
+    }
+    transport.close();
+    echo.join();
+    EXPECT_GT(transport.dropped(), 0u);
+    EXPECT_GT(rpc.retries(), 0u);
+}
+
+TEST(PsTransport, CallAllDiscardsLateReplyOfEarlierCall)
+{
+    ps::InProcTransport transport(2);
+    WorkerGroup echo;
+    echo.start(1, [&](std::size_t) { echo_until_closed(transport, 0); });
+    ps::RpcClient rpc(transport, 1);
+    ps::Message first;
+    first.clock = 1;
+    EXPECT_EQ(rpc.call(0, first).clock, 1u);
+
+    // A late duplicate of the first call's reply (token 1) is already
+    // waiting when the next call starts.
+    ps::Message late;
+    late.kind = ps::Message::Kind::kAck;
+    late.token = 1;
+    late.clock = 999;
+    transport.send(1, std::move(late));
+    const std::vector<ps::Message> replies =
+        rpc.call_all({0, 0}, numbered_requests(2, 2));
+    EXPECT_EQ(replies[0].clock, 2u);
+    EXPECT_EQ(replies[1].clock, 3u);
+    transport.close();
+    echo.join();
+}
+
+TEST(PsTransport, CallAllThrowsWhenTransportClosesMidCall)
+{
+    ps::InProcTransport transport(2);
+    // Nobody serves endpoint 0: the call waits (and retransmits) until
+    // the transport closes under it.
+    WorkerGroup closer;
+    closer.start(1, [&](std::size_t) {
+        std::this_thread::sleep_for(std::chrono::milliseconds(20));
+        transport.close();
+    });
+    ps::RpcClient rpc(transport, 1);
+    EXPECT_THROW(rpc.call_all({0, 0}, numbered_requests(2, 1)),
+                 std::runtime_error);
+    closer.join();
 }
 
 TEST(PsTransport, RejectsBadConfig)
@@ -909,6 +1025,79 @@ TEST(PsCluster, SurvivesFaultInjection)
     EXPECT_LE(r.metrics.max_staleness(), 6u);
     EXPECT_GT(r.accuracy, 0.75);
 }
+
+TEST(PsCluster, OneWorkerWeightsIgnoreFabricFaults)
+{
+    // With one worker the final model is a pure function of its pushes
+    // — provided every round starts from a model holding the worker's
+    // own last push. Drops, jitter and reorder let a pull overtake the
+    // push it was sent behind; the exchange must re-pull, or this run
+    // would compute a gradient on a stale slice and drift.
+    auto cfg = cluster_config(8);
+    cfg.workers = 1;
+    cfg.rounds = 150;
+    cfg.codec = ps::Codec::qsgd(4);
+    auto faulty = cfg;
+    faulty.faults.drop_prob = 0.05;
+    faulty.faults.jitter_us = 5;
+    faulty.faults.reorder_window = 3;
+
+    const auto dense_clean = ps::train_cluster(cluster_problem(), cfg);
+    const auto dense_faulty = ps::train_cluster(cluster_problem(), faulty);
+    EXPECT_GT(dense_faulty.metrics.rpc_retries, 0u);
+    EXPECT_EQ(dense_faulty.checkpoint.weights, dense_clean.checkpoint.weights)
+        << "dense CsQ4+EF";
+
+    cfg.codec = ps::Codec::from_bits(8);
+    faulty.codec = cfg.codec;
+    const auto& sparse = testutil::sparse_cluster_problem();
+    const auto sparse_clean = ps::train_cluster(sparse, cfg);
+    const auto sparse_faulty = ps::train_cluster(sparse, faulty);
+    EXPECT_GT(sparse_faulty.metrics.rpc_retries, 0u);
+    EXPECT_EQ(sparse_faulty.checkpoint.weights,
+              sparse_clean.checkpoint.weights)
+        << "sparse Cs8+EF";
+}
+
+#if BUCKWILD_OBS_ENABLED
+TEST(PsCluster, WorkerHopsAddUpToTheRound)
+{
+    // The round's attribution: minibatch compute (ps.worker.seconds)
+    // plus the encode, exchange and ssp_wait hops account for the whole
+    // measured round, on a run that both bounces off the SSP gate
+    // (tau 1, four workers) and retransmits.
+    obs::MetricsRegistry& registry = obs::MetricsRegistry::global();
+    const auto hop = [&](const char* name) -> obs::Histo& {
+        return registry.histogram(
+            obs::labeled("ps.hop_seconds", {{"hop", name}}));
+    };
+    const auto attributed = [&] {
+        return registry.gauge("ps.worker.seconds").value() +
+               hop("encode").sum() + hop("exchange").sum() +
+               hop("ssp_wait").sum();
+    };
+    const auto round = [&] {
+        return registry.histogram("ps.worker.round_seconds").sum();
+    };
+    const double attributed_before = attributed();
+    const double round_before = round();
+
+    auto cfg = cluster_config(8);
+    cfg.workers = 4;
+    cfg.rounds = 200;
+    cfg.tau = 1;
+    const auto r = ps::train_cluster(
+        dataset::generate_logistic_dense(512, 1024, 5), cfg);
+    EXPECT_EQ(r.rounds, 800u);
+
+    const double rounds = round() - round_before;
+    const double hops = attributed() - attributed_before;
+    ASSERT_GT(rounds, 0.0);
+    EXPECT_NEAR(hops / rounds, 1.0, 0.05)
+        << "hops " << hops << " s of " << rounds << " s of rounds";
+    EXPECT_GT(hop("ssp_wait").count(), 0u);
+}
+#endif
 
 TEST(PsCluster, StalenessStaysWithinTau)
 {
