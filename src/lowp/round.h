@@ -8,8 +8,8 @@
  *
  *  - the *raw* domain (fixed:: semantics): values are scaled in double
  *    precision and rounded to a raw integer — biased rounding is
- *    std::lround (ties away from zero). Used by dataset D-quantization,
- *    serve publish-time Ms weights, and the fixed:: array quantizers.
+ *    std::lround (ties away from zero). Used by dataset D-quantization
+ *    and serve publish-time Ms weights.
  *  - the *snap* domain (nn / G-term semantics): values stay in float
  *    storage, constrained to the grid — biased rounding is nearbyintf
  *    (ties to even), all arithmetic in float.

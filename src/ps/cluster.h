@@ -13,6 +13,10 @@
  * asynchrony — with convergence preserved by the same error-feedback
  * trick (Seide et al.) the emulation validates statistically.
  *
+ * train_cluster() runs it as threads on one InProcTransport, with the
+ * caller's thread as the control endpoint. It shares the control reads,
+ * validation and result assembly of the multi-process run (ps/node.h).
+ *
  * When a serve::ModelRegistry is supplied, a publisher on the caller's
  * thread checkpoints the shards every `publish_every` applied worker
  * rounds (and once at the end) straight into the registry — a serving
@@ -30,9 +34,12 @@
 #include "core/loss.h"
 #include "core/model_io.h"
 #include "dataset/problem.h"
-#include "ps/server.h"
+#include "ps/metrics.h"
+#include "ps/quantize.h"
+#include "ps/transport.h"
 #include "serve/model_registry.h"
 #include "serve/precision.h"
+#include "simd/ops.h"
 
 namespace buckwild::ps {
 

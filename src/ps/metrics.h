@@ -3,9 +3,9 @@
  * Parameter-server metrics — what a training-cluster operator watches.
  *
  * Each ServerShard owns a ShardMetrics and mutates it from its own
- * thread only (no locks on the hot path); the ParameterServer collects
- * them into a PsMetrics snapshot once the shards have stopped, and adds
- * the transport's fabric counters plus the workers' compute totals. The
+ * thread only (no locks on the hot path); the control endpoint collects
+ * them over a kStats round-trip into a PsMetrics snapshot at the end of
+ * a run, and adds the fabric counters plus the workers' compute totals. The
  * structure mirrors serve::ServeMetrics: plain value types, derived
  * quantities as methods, a histogram for the distribution that matters —
  * there it was batch sizes, here it is push staleness.
@@ -194,7 +194,7 @@ struct PsMetrics
     /// so CLI runs can export it as flat metrics JSON next to the
     /// hot-path instrumentation counters. The authoritative store stays
     /// thread-owned ShardMetrics — shards count lock-free and exactly,
-    /// and this bridge runs once after stop().
+    /// and this bridge runs once a run has finished.
     void
     publish(obs::MetricsRegistry& registry, const std::string& prefix) const
     {

@@ -49,9 +49,8 @@ pull_request(std::uint32_t worker)
     return pull;
 }
 
-/// Pulls every shard's slice into `model` in one call_all. Slices may
-/// sit at different versions — that inconsistency is the asynchrony the
-/// C-term error feedback has to absorb.
+} // namespace
+
 void
 pull_model(RpcClient& rpc, std::size_t shards, std::uint32_t worker,
            std::vector<float>& model)
@@ -61,6 +60,8 @@ pull_model(RpcClient& rpc, std::size_t shards, std::uint32_t worker,
     for (std::size_t s = 0; s < shards; ++s)
         place_slice(replies[s], shards, s, model);
 }
+
+namespace {
 
 /// Re-sends a push the SSP gate nacked, backing off between tries, until
 /// shard `s` accepts it; returns the accepted ack's version.
@@ -459,22 +460,33 @@ run_shard_node(const ClusterConfig& config, std::size_t dim,
     SocketTransport transport(tc);
     if (options.bound_port != nullptr) *options.bound_port = transport.port();
 
-    ShardConfig shard_cfg;
-    shard_cfg.workers = config.workers;
-    shard_cfg.tau = config.tau;
-    shard_cfg.step_size = config.step_size;
-    shard_cfg.batch = config.batch;
-    shard_cfg.impl = config.impl;
     ServerShard shard(options.index,
                       slice_begin(dim, config.shards, options.index),
                       slice_end(dim, config.shards, options.index),
-                      shard_cfg, transport);
+                      shard_config_of(config), transport);
     shard.run(); // until kShutdown (or transport close)
     transport.close();
     return shard.metrics();
 }
 
 namespace {
+
+/// A client node's fabric: endpoint `local` dialing every shard.
+SocketTransportConfig
+client_transport_config(const ClusterConfig& config,
+                        const std::vector<net::Address>& shard_addresses,
+                        std::size_t local)
+{
+    if (shard_addresses.size() != config.shards)
+        fatal("need one shard address per shard");
+    SocketTransportConfig tc;
+    tc.endpoints = cluster_endpoints(config);
+    tc.local = {local};
+    for (std::size_t s = 0; s < config.shards; ++s)
+        tc.peers[s] = shard_addresses[s];
+    tc.faults = config.faults;
+    return tc;
+}
 
 /// Shared socket bring-up of a worker node: dial the shards, run the
 /// given round loop, close the fabric.
@@ -485,15 +497,8 @@ run_worker_node_impl(const ClusterConfig& config, const Problem& problem,
                      const std::vector<net::Address>& shard_addresses)
 {
     if (worker >= config.workers) fatal("worker index out of range");
-    if (shard_addresses.size() != config.shards)
-        fatal("need one shard address per shard");
-    SocketTransportConfig tc;
-    tc.endpoints = cluster_endpoints(config);
-    tc.local = {worker_endpoint_of(config, worker)};
-    for (std::size_t s = 0; s < config.shards; ++s)
-        tc.peers[s] = shard_addresses[s];
-    tc.faults = config.faults;
-    SocketTransport transport(tc);
+    SocketTransport transport(client_transport_config(
+        config, shard_addresses, worker_endpoint_of(config, worker)));
     const WorkerStats stats =
         run_worker_rounds(config, problem, worker, transport, nullptr);
     transport.close();
@@ -518,29 +523,11 @@ run_worker_node(const ClusterConfig& config,
     return run_worker_node_impl(config, problem, worker, shard_addresses);
 }
 
-namespace {
-
-SocketTransportConfig
-control_transport_config(const ClusterConfig& config,
-                         const std::vector<net::Address>& shard_addresses)
-{
-    if (shard_addresses.size() != config.shards)
-        fatal("need one shard address per shard");
-    SocketTransportConfig tc;
-    tc.endpoints = cluster_endpoints(config);
-    tc.local = {control_endpoint_of(config)};
-    for (std::size_t s = 0; s < config.shards; ++s)
-        tc.peers[s] = shard_addresses[s];
-    tc.faults = config.faults;
-    return tc;
-}
-
-} // namespace
-
 ControlClient::ControlClient(const ClusterConfig& config,
                              const std::vector<net::Address>& shard_addresses)
     : config_(config),
-      transport_(control_transport_config(config, shard_addresses)),
+      transport_(client_transport_config(config, shard_addresses,
+                                         control_endpoint_of(config))),
       rpc_(transport_, control_endpoint_of(config))
 {}
 
@@ -555,23 +542,54 @@ ControlClient::snapshot(std::size_t dim)
 std::vector<ShardMetrics>
 ControlClient::stats()
 {
-    Message request;
-    request.kind = Message::Kind::kStats;
-    std::vector<ShardMetrics> all;
-    for (const Message& reply : call_shards(rpc_, config_.shards, request))
-        all.push_back(shard_metrics_from_stats(reply.stats));
-    return all;
+    return shard_stats(rpc_, config_.shards);
 }
 
 void
 ControlClient::shutdown()
 {
+    shutdown_shards(rpc_, config_.shards);
+}
+
+std::vector<ShardMetrics>
+shard_stats(RpcClient& rpc, std::size_t shards)
+{
+    Message request;
+    request.kind = Message::Kind::kStats;
+    std::vector<ShardMetrics> all;
+    for (const Message& reply : call_shards(rpc, shards, request))
+        all.push_back(shard_metrics_from_stats(reply.stats));
+    return all;
+}
+
+void
+shutdown_shards(RpcClient& rpc, std::size_t shards)
+{
     Message request;
     request.kind = Message::Kind::kShutdown;
-    call_shards(rpc_, config_.shards, request);
+    call_shards(rpc, shards, request);
 }
 
 // --------------------------------------------------------- assembly
+
+void
+validate_cluster_config(const ClusterConfig& config, std::size_t dim,
+                        std::size_t examples)
+{
+    if (dim == 0) fatal("model dimension must be >= 1");
+    if (config.workers == 0) fatal("workers must be >= 1");
+    if (config.shards == 0) fatal("shards must be >= 1");
+    if (config.shards > dim)
+        fatal("cannot partition " + std::to_string(dim) +
+              " coordinates across " + std::to_string(config.shards) +
+              " shards");
+    validate_codec(config.codec);
+    if (!(config.step_size > 0.0f)) fatal("step_size must be positive");
+    if (config.batch == 0) fatal("batch must be >= 1");
+    if (config.rounds == 0) fatal("rounds must be >= 1");
+    if (examples < config.workers)
+        fatal("need at least one example per worker");
+}
 
 void
 evaluate_model(const dataset::DenseProblem& problem, core::Loss loss,
@@ -627,10 +645,13 @@ make_cluster_checkpoint(const ClusterConfig& config,
     return model;
 }
 
+namespace {
+
+/// Static per-round push bytes (header + payload per shard slice) of a
+/// fixed-size dense codec.
 double
 fixed_bytes_per_round(const ClusterConfig& config, std::size_t dim)
 {
-    if (config.codec.kind == CodecKind::kQsgd) return 0.0;
     double total = 0.0;
     for (std::size_t s = 0; s < config.shards; ++s)
         total += static_cast<double>(
@@ -640,6 +661,52 @@ fixed_bytes_per_round(const ClusterConfig& config, std::size_t dim)
                           config.codec.bits));
     return total;
 }
+
+} // namespace
+
+template <typename Problem>
+void
+finish_cluster_result(const Problem& problem, const ClusterConfig& config,
+                      std::vector<float> weights,
+                      const std::vector<WorkerStats>& workers,
+                      ClusterResult& result)
+{
+    const bool sparse = detail::is_sparse_workload(problem);
+    result.comm = config.codec.name();
+    result.checkpoint =
+        make_cluster_checkpoint(config, std::move(weights), sparse);
+    evaluate_model(problem, config.loss, result.checkpoint.weights,
+                   &result.final_loss, &result.accuracy);
+
+    std::uint64_t encoded_total = 0;
+    for (const WorkerStats& worker : workers) {
+        result.rounds += worker.rounds;
+        result.metrics.worker_seconds += worker.seconds;
+        result.metrics.rpc_retries += worker.retries;
+        encoded_total += worker.encoded_bytes;
+    }
+    result.metrics.numbers = static_cast<double>(result.rounds) *
+                             static_cast<double>(config.batch) *
+                             detail::numbers_per_example(problem);
+    // Sparse pushes are nnz-dependent at every tier, so their traffic is
+    // always measured; dense fixed-size codecs stay statically computed.
+    const bool measured = config.codec.kind == CodecKind::kQsgd || sparse;
+    result.bytes_per_round =
+        measured ? (result.rounds > 0
+                        ? static_cast<double>(encoded_total) /
+                              static_cast<double>(result.rounds)
+                        : 0.0)
+                 : fixed_bytes_per_round(config, problem.dim);
+}
+
+template void finish_cluster_result(const dataset::DenseProblem&,
+                                    const ClusterConfig&, std::vector<float>,
+                                    const std::vector<WorkerStats>&,
+                                    ClusterResult&);
+template void finish_cluster_result(const dataset::SparseProblem&,
+                                    const ClusterConfig&, std::vector<float>,
+                                    const std::vector<WorkerStats>&,
+                                    ClusterResult&);
 
 namespace {
 
@@ -727,21 +794,15 @@ reap_children(const std::vector<pid_t>& pids, const char* role)
     }
 }
 
-using detail::example_count;
-using detail::is_sparse_workload;
-using detail::numbers_per_example;
-
 template <typename Problem>
 ClusterResult
 train_cluster_multiprocess_impl(const Problem& problem,
                                 const ClusterConfig& config)
 {
-    if (config.rounds == 0) fatal("rounds must be >= 1");
-    if (example_count(problem) < config.workers)
-        fatal("need at least one example per worker");
-    if (config.shards == 0 || config.shards > problem.dim)
-        fatal("bad shard count for this model dimension");
-    validate_codec(config.codec);
+    // Before any fork: a child that rejects the config would die in its
+    // constructor while the others retry connecting to it forever.
+    validate_cluster_config(config, problem.dim,
+                            detail::example_count(problem));
 
     const std::size_t shards = config.shards;
     const std::size_t workers = config.workers;
@@ -907,17 +968,10 @@ train_cluster_multiprocess_impl(const Problem& problem,
     // short read means the worker died mid-run.
     std::vector<WorkerStats> worker_stats(workers);
     for (std::size_t w = 0; w < workers; ++w) {
-        auto* bytes = reinterpret_cast<char*>(&worker_stats[w]);
-        std::size_t off = 0;
-        while (off < sizeof(WorkerStats)) {
-            const ssize_t n = ::read(stat_pipes[w], bytes + off,
-                                     sizeof(WorkerStats) - off);
-            if (n < 0 && errno == EINTR) continue;
-            if (n <= 0) break;
-            off += static_cast<std::size_t>(n);
-        }
+        const bool reported = read_all_fd(stat_pipes[w], &worker_stats[w],
+                                          sizeof(WorkerStats));
         ::close(stat_pipes[w]);
-        if (off != sizeof(WorkerStats)) {
+        if (!reported) {
             if (ack_pipes[w] >= 0) ::close(ack_pipes[w]);
             fatal("worker process " + std::to_string(w) +
                   " died before reporting stats");
@@ -936,7 +990,6 @@ train_cluster_multiprocess_impl(const Problem& problem,
     // The parent is the control endpoint: final snapshot, shard
     // counters, then shutdown — and only then are the shards reaped.
     ClusterResult result;
-    result.comm = config.codec.name();
     ControlClient control(config, addresses);
     std::vector<float> model = control.snapshot(problem.dim);
     result.metrics.shards = control.stats();
@@ -956,32 +1009,9 @@ train_cluster_multiprocess_impl(const Problem& problem,
         }
     }
 
-    result.checkpoint = make_cluster_checkpoint(config, std::move(model),
-                                                is_sparse_workload(problem));
-    evaluate_model(problem, config.loss, result.checkpoint.weights,
-                   &result.final_loss, &result.accuracy);
-
-    std::uint64_t encoded_total = 0;
-    for (std::size_t w = 0; w < workers; ++w) {
-        result.rounds += worker_stats[w].rounds;
-        result.metrics.worker_seconds += worker_stats[w].seconds;
-        result.metrics.rpc_retries += worker_stats[w].retries;
-        encoded_total += worker_stats[w].encoded_bytes;
-    }
-    result.metrics.rpc_retries += control.retries();
-    result.metrics.numbers = static_cast<double>(result.rounds) *
-                             static_cast<double>(config.batch) *
-                             numbers_per_example(problem);
-    // Sparse pushes are nnz-dependent at every tier, so their traffic is
-    // always measured; dense fixed-size codecs stay statically computed.
-    const bool measured = config.codec.kind == CodecKind::kQsgd ||
-                          is_sparse_workload(problem);
-    result.bytes_per_round =
-        measured ? (result.rounds > 0
-                        ? static_cast<double>(encoded_total) /
-                              static_cast<double>(result.rounds)
-                        : 0.0)
-                 : fixed_bytes_per_round(config, problem.dim);
+    result.metrics.rpc_retries = control.retries();
+    finish_cluster_result(problem, config, std::move(model), worker_stats,
+                          result);
     return result;
 }
 

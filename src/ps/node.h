@@ -1,21 +1,20 @@
 /**
  * @file
- * Cluster node roles — the pieces a multi-process parameter-server
- * deployment is assembled from, and the fork-based assembler itself.
+ * Cluster node roles — the pieces a parameter-server cluster is
+ * assembled from, on either fabric, and the fork-based assembler.
  *
- * The endpoint layout is the ParameterServer's, shared cluster-wide:
- * shards at [0, S), workers at [S, S+W), control at S+W. In-process,
- * ParameterServer hosts everything behind one InProcTransport; across
- * processes, each role hosts its own endpoint(s) behind a
- * SocketTransport:
+ * One endpoint layout holds cluster-wide: shards at [0, S), workers at
+ * [S, S+W), control at S+W. In-process (ps/cluster.cpp) every endpoint
+ * is a mailbox of one InProcTransport; across processes each role hosts
+ * its own endpoint(s) behind a SocketTransport:
  *
  *  - run_shard_node(): a listening shard process — serves its slice
  *    until a kShutdown arrives, then returns its metrics;
  *  - run_worker_node(): a worker process — dials the shard addresses,
  *    runs its training rounds, returns its WorkerStats;
- *  - ControlClient: snapshot / stats / shutdown against remote shards
- *    from the control endpoint (what `buckwild_cluster --control` and
- *    the --spawn parent use);
+ *  - pull_model() / shard_stats() / shutdown_shards(): the control
+ *    reads over an RpcClient, on either fabric; ControlClient runs them
+ *    over its own SocketTransport (`buckwild_cluster --control`);
  *  - train_cluster_multiprocess(): the --spawn convenience — binds every
  *    shard listener up front (race-free port assignment), forks S shard
  *    and W worker processes, collects worker stats over pipes, then
@@ -23,9 +22,10 @@
  *    control client. Call it before spawning any threads in the parent
  *    (fork() and threads do not mix).
  *
- * run_worker_rounds() is the one worker training loop, shared verbatim
- * by the in-process trainer (ps/cluster.cpp) and the socket worker — so
- * the two execution modes differ only in the fabric underneath.
+ * run_worker_rounds(), validate_cluster_config() and
+ * finish_cluster_result() are the one round loop, check and result
+ * assembly of both the in-process trainer and the socket path, so the
+ * two differ only in the fabric underneath.
  *
  * Fault injection in multi-process mode is sender-side at the clients:
  * worker and control processes apply the configured FaultModel to their
@@ -44,14 +44,14 @@
 
 #include "net/socket.h"
 #include "ps/cluster.h"
+#include "ps/shard.h"
 #include "ps/socket_transport.h"
 
 namespace buckwild::ps {
 
 // ------------------------------------------------- endpoint geometry
 
-/// First coordinate of shard s's slice (identical to
-/// ParameterServer::shard_begin).
+/// First coordinate of shard s's slice.
 inline std::size_t
 slice_begin(std::size_t dim, std::size_t shards, std::size_t s)
 {
@@ -85,6 +85,19 @@ inline std::size_t
 control_endpoint_of(const ClusterConfig& config)
 {
     return config.shards + config.workers;
+}
+
+/// The update knobs every shard of the cluster runs with.
+inline ShardConfig
+shard_config_of(const ClusterConfig& config)
+{
+    ShardConfig shard;
+    shard.workers = config.workers;
+    shard.tau = config.tau;
+    shard.step_size = config.step_size;
+    shard.batch = config.batch;
+    shard.impl = config.impl;
+    return shard;
 }
 
 // ------------------------------------------------------ worker rounds
@@ -161,6 +174,20 @@ WorkerStats run_worker_node(const ClusterConfig& config,
                             std::size_t worker,
                             const std::vector<net::Address>& shard_addresses);
 
+// ------------------------------------------------------ control reads
+
+/// Pulls every shard's slice into `model` (sized to the model dimension)
+/// in one call_all. Slices may sit at different versions; each is
+/// observed atomically between pushes.
+void pull_model(RpcClient& rpc, std::size_t shards, std::uint32_t worker,
+                std::vector<float>& model);
+
+/// Per-shard counters (one kStats round-trip to every shard).
+std::vector<ShardMetrics> shard_stats(RpcClient& rpc, std::size_t shards);
+
+/// Tells every shard to exit its message loop (kShutdown).
+void shutdown_shards(RpcClient& rpc, std::size_t shards);
+
 /// The control endpoint's view of a remote cluster.
 class ControlClient
 {
@@ -187,6 +214,17 @@ class ControlClient
 
 // --------------------------------------------------------- assembly
 
+/**
+ * Rejects a configuration no fabric can run: an empty model, no workers
+ * or shards, more shards than coordinates, an unknown codec, a
+ * non-positive step, an empty batch, no rounds, or fewer examples than
+ * workers. Both entry points call it before starting a thread or
+ * forking a process.
+ * @throws std::runtime_error naming the first bad field.
+ */
+void validate_cluster_config(const ClusterConfig& config, std::size_t dim,
+                             std::size_t examples);
+
 /// Average loss and accuracy of `model` over the whole problem, with
 /// the same scalar evaluation loop the emulated trainer uses.
 void evaluate_model(const dataset::DenseProblem& problem, core::Loss loss,
@@ -200,17 +238,27 @@ void evaluate_model(const dataset::SparseProblem& problem, core::Loss loss,
                     double* out_accuracy);
 
 /// Wraps final weights in the async-C DMGC provenance signature at the
-/// configured wire codec (what ParameterServer::checkpoint does, without
-/// needing a live server). `sparse` selects the sparse signature row
+/// configured wire codec. `sparse` selects the sparse signature row
 /// (D32f i32 M32f with the async C term) for sparse-workload runs.
 core::SavedModel make_cluster_checkpoint(const ClusterConfig& config,
                                          std::vector<float> weights,
                                          bool sparse = false);
 
-/// Static per-round push bytes (header + payload per shard slice) for
-/// the fixed-size codecs; 0 for the variable-bit CsQ tiers, whose
-/// traffic is measured from WorkerStats::encoded_bytes instead.
-double fixed_bytes_per_round(const ClusterConfig& config, std::size_t dim);
+/**
+ * The fabric-neutral half of a finished run's result: the label, the
+ * final `weights` as a checkpoint with the workload's signature, their
+ * loss and accuracy, the rounds, the workers' seconds, retransmissions
+ * (added to result.metrics.rpc_retries) and numbers, and the push bytes
+ * per round — static for the fixed-size dense codecs, measured from
+ * WorkerStats::encoded_bytes for CsQ and for every sparse run.
+ * Instantiated for DenseProblem and SparseProblem.
+ */
+template <typename Problem>
+void finish_cluster_result(const Problem& problem,
+                           const ClusterConfig& config,
+                           std::vector<float> weights,
+                           const std::vector<WorkerStats>& workers,
+                           ClusterResult& result);
 
 /**
  * train_cluster over real processes: forks config.shards shard processes

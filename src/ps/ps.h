@@ -30,7 +30,6 @@
 #include "ps/metrics.h"
 #include "ps/node.h"
 #include "ps/quantize.h"
-#include "ps/server.h"
 #include "ps/shard.h"
 #include "ps/socket_transport.h"
 #include "ps/transport.h"

@@ -9,7 +9,7 @@
  * 4-byte destination endpoint followed by a ps/wire.h serialized
  * Message.
  *
- * Topology conventions (matching the ParameterServer endpoint layout —
+ * Topology conventions (the cluster endpoint layout of ps/node.h —
  * shards [0, S), workers [S, S+W), control S+W):
  *
  *  - a *shard* process listens and hosts its shard endpoint; it dials

@@ -150,7 +150,7 @@ class Mailbox
 
 /**
  * The endpoint-indexed fabric interface: shards at [0, shards), workers
- * and control after them (the ParameterServer defines the layout). The
+ * and control after them (ps/node.h defines the layout). The
  * protocol layers (ServerShard, RpcClient, the cluster trainers) are
  * written against this interface and run unchanged over threads or TCP.
  */

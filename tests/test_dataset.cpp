@@ -14,7 +14,9 @@
 #include "dataset/fourier.h"
 #include "dataset/problem.h"
 #include "dataset/quantized.h"
-#include "fixed/quantize.h"
+#include "fixed/fixed_point.h"
+#include "lowp/grid.h"
+#include "lowp/round.h"
 
 namespace buckwild::dataset {
 namespace {
@@ -208,8 +210,9 @@ TEST(SparseData, DeltaModeWithPaddingWhenTypeTooNarrow)
         }
         // Every true coordinate with nonzero quantized value must appear.
         for (std::size_t j = 0; j < p.rows[i].index.size(); ++j) {
-            const long raw = fixed::quantize_biased_raw(
-                p.rows[i].value[j], fixed::default_format(8));
+            const long raw = lowp::round_biased_raw(
+                p.rows[i].value[j],
+                lowp::GridSpec::from_fixed(fixed::default_format(8)));
             if (raw == 0) continue; // quantized to zero: indistinguishable
             EXPECT_NE(std::find(decoded.begin(), decoded.end(),
                                 p.rows[i].index[j]),

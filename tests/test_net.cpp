@@ -1238,9 +1238,9 @@ train_over_sockets(const Problem& problem, const ps::ClusterConfig& cfg)
     result.comm = cfg.codec.name();
     {
         ps::ControlClient control(cfg, addresses);
-        const std::vector<float> model = control.snapshot(problem.dim);
-        ps::evaluate_model(problem, cfg.loss, model, &result.final_loss,
-                           &result.accuracy);
+        result.checkpoint.weights = control.snapshot(problem.dim);
+        ps::evaluate_model(problem, cfg.loss, result.checkpoint.weights,
+                           &result.final_loss, &result.accuracy);
         result.metrics.shards = control.stats();
         control.shutdown();
     }
@@ -1295,6 +1295,32 @@ TEST(NetCluster, SocketClusterMatchesInProcessConvergence)
                   .value(),
               0u);
 #endif
+}
+
+TEST(NetCluster, OneWorkerWeightsMatchAcrossFabrics)
+{
+    // With one worker the final model is a pure function of its pushes,
+    // so threads over mailboxes and threads over loopback TCP must end
+    // on the same bytes: the fabric changes the schedule, not the math.
+    ps::ClusterConfig cfg = socket_cluster_config(ps::Codec::qsgd(4));
+    cfg.workers = 1;
+    const auto match = [&](const auto& problem, const char* what) {
+        const ps::ClusterResult inproc = ps::train_cluster(problem, cfg);
+        const ps::ClusterResult socket = train_over_sockets(problem, cfg);
+        EXPECT_EQ(socket.checkpoint.weights, inproc.checkpoint.weights)
+            << what;
+        EXPECT_EQ(socket.metrics.total_pushes(),
+                  inproc.metrics.total_pushes())
+            << what;
+        EXPECT_EQ(socket.metrics.total_push_bytes(),
+                  inproc.metrics.total_push_bytes())
+            << what;
+        EXPECT_EQ(inproc.metrics.total_pushes(), cfg.shards * cfg.rounds)
+            << what;
+    };
+    match(testutil::cluster_problem(), "dense CsQ4+EF");
+    cfg.codec = ps::Codec::from_bits(8);
+    match(testutil::sparse_cluster_problem(), "sparse Cs8+EF");
 }
 
 TEST(NetCluster, SurvivesFaultInjectionOverSockets)

@@ -1200,30 +1200,42 @@ TEST(PsCluster, DeterministicReplayRepeatsMetricCounters)
                      snap_b.gauges.at("ps.numbers"));
 }
 
+/// Both fabrics reject `bad` up front — the forked one before it forks
+/// (a shard child that died on it would leave the rest retrying their
+/// connects forever).
+template <typename Problem>
+void
+expect_rejected(const Problem& problem, const ps::ClusterConfig& bad)
+{
+    EXPECT_THROW(ps::train_cluster(problem, bad), std::runtime_error);
+    EXPECT_THROW(ps::train_cluster_multiprocess(problem, bad),
+                 std::runtime_error);
+}
+
 TEST(PsCluster, RejectsBadConfig)
 {
     const auto& problem = cluster_problem();
     auto bad = cluster_config(32);
     bad.workers = 0;
-    EXPECT_THROW(ps::train_cluster(problem, bad), std::runtime_error);
+    expect_rejected(problem, bad);
     bad = cluster_config(32);
     bad.shards = 0;
-    EXPECT_THROW(ps::train_cluster(problem, bad), std::runtime_error);
+    expect_rejected(problem, bad);
     bad = cluster_config(32);
     bad.shards = problem.dim + 1;
-    EXPECT_THROW(ps::train_cluster(problem, bad), std::runtime_error);
+    expect_rejected(problem, bad);
     bad = cluster_config(32);
     bad.codec.bits = 7; // kDense at 7 bits names no tier
-    EXPECT_THROW(ps::train_cluster(problem, bad), std::runtime_error);
+    expect_rejected(problem, bad);
     bad = cluster_config(32);
     bad.step_size = 0.0f;
-    EXPECT_THROW(ps::train_cluster(problem, bad), std::runtime_error);
+    expect_rejected(problem, bad);
     bad = cluster_config(32);
     bad.batch = 0;
-    EXPECT_THROW(ps::train_cluster(problem, bad), std::runtime_error);
+    expect_rejected(problem, bad);
     bad = cluster_config(32);
     bad.rounds = 0;
-    EXPECT_THROW(ps::train_cluster(problem, bad), std::runtime_error);
+    expect_rejected(problem, bad);
 }
 
 // ================================================ PsSparseCluster
@@ -1342,13 +1354,13 @@ TEST(PsSparseCluster, RejectsBadConfig)
     const auto& problem = sparse_cluster_problem();
     auto bad = cluster_config(32);
     bad.workers = 0;
-    EXPECT_THROW(ps::train_cluster(problem, bad), std::runtime_error);
+    expect_rejected(problem, bad);
     bad = cluster_config(32);
     bad.shards = problem.dim + 1;
-    EXPECT_THROW(ps::train_cluster(problem, bad), std::runtime_error);
+    expect_rejected(problem, bad);
     bad = cluster_config(32);
     bad.batch = 0;
-    EXPECT_THROW(ps::train_cluster(problem, bad), std::runtime_error);
+    expect_rejected(problem, bad);
 }
 
 // ===================================================== PsServe
@@ -1400,6 +1412,39 @@ TEST(PsServe, ClusterPublishesIntoLiveServingRegistry)
     EXPECT_NEAR(accuracy, r.accuracy, 0.08)
         << "served accuracy must track the training accuracy";
     EXPECT_GT(accuracy, 0.75);
+}
+
+TEST(PsServe, SparseClusterPublishesItsOwnSignature)
+{
+    // Every checkpoint a sparse run publishes mid-run carries the same
+    // sparse DMGC signature as its final one — a watcher on the serving
+    // side sees no version stamped with the dense row.
+    const auto& problem = sparse_cluster_problem();
+    serve::ModelRegistry registry;
+    std::atomic<bool> done{false};
+    std::map<std::uint64_t, std::string> seen; // version -> signature
+    std::thread watcher([&] {
+        while (!done.load(std::memory_order_acquire)) {
+            if (const auto model = registry.current())
+                seen.emplace(model->version(),
+                             model->trained_signature().to_string());
+            std::this_thread::yield();
+        }
+    });
+    auto cfg = cluster_config(8);
+    cfg.rounds = 300;
+    cfg.publish_every = 20;
+    ps::ClusterResult r;
+    EXPECT_NO_THROW(r = ps::train_cluster(problem, cfg, &registry));
+    done.store(true, std::memory_order_release);
+    watcher.join();
+
+    const std::string final_signature = r.checkpoint.signature.to_string();
+    EXPECT_EQ(final_signature, "D32fi32M32fC8");
+    ASSERT_GE(r.published_versions.size(), 3u);
+    EXPECT_GE(seen.size(), 2u) << "the watcher saw no mid-run version";
+    for (const auto& [version, signature] : seen)
+        EXPECT_EQ(signature, final_signature) << "version " << version;
 }
 
 // ===================================================== PsConcurrency

@@ -11,7 +11,9 @@
 
 #include "dmgc/advisor.h"
 #include "dmgc/statistical.h"
-#include "fixed/quantize.h"
+#include "fixed/fixed_point.h"
+#include "lowp/grid.h"
+#include "lowp/round.h"
 #include "rng/xorshift.h"
 #include "util/stats.h"
 
@@ -78,7 +80,8 @@ TEST(Statistical, EmpiricalValidationOfMarginNoise)
     q.model_size = kN;
     const double predicted = margin_noise_std(q);
 
-    const fixed::FixedFormat f8 = fixed::default_format(8);
+    const lowp::GridSpec f8 =
+        lowp::GridSpec::from_fixed(fixed::default_format(8));
     rng::Xorshift128 gen(99);
     RunningStats err;
     std::vector<float> w(kN), x(kN);
@@ -91,9 +94,9 @@ TEST(Statistical, EmpiricalValidationOfMarginNoise)
                 (rng::to_unit_float(gen()) * 2 - 1) * wr * 1.732);
             x[k] = rng::to_unit_float(gen()) * 2 - 1;
             const double wq =
-                fixed::dequantize(fixed::quantize_biased_raw(w[k], f8), f8);
+                lowp::dequantize_raw(lowp::round_biased_raw(w[k], f8), f8);
             const double xq =
-                fixed::dequantize(fixed::quantize_biased_raw(x[k], f8), f8);
+                lowp::dequantize_raw(lowp::round_biased_raw(x[k], f8), f8);
             exact += static_cast<double>(w[k]) * x[k];
             quantized += wq * xq;
         }
